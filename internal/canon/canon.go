@@ -14,11 +14,18 @@
 // graphs have O(l) nodes (l = path-length bound, 3 or 4 in the paper),
 // so the worst-case exponential search is never a concern in practice;
 // property-based tests verify permutation invariance.
+//
+// The search runs over label ranks and colours in buffers sized once
+// per call; only the final encoding touches label text. The output
+// format is frozen — topology IDs, goldens and the wire "structure"
+// field derive from it — and a fuzz test holds it byte-for-byte equal
+// to the original string-based implementation kept in the tests.
 package canon
 
 import (
-	"fmt"
-	"sort"
+	"bytes"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -111,13 +118,12 @@ func (g *Graph) connected() bool {
 // isomorphism: two graphs map to the same string iff they are
 // isomorphic.
 func Canonical(g *Graph) string {
-	n := len(g.Labels)
-	if n == 0 {
+	if len(g.Labels) == 0 {
 		return "empty"
 	}
 	s := newSearch(g)
-	s.run()
-	return s.best
+	s.branch(0)
+	return string(s.best)
 }
 
 // Iso reports whether two labeled graphs are isomorphic.
@@ -128,163 +134,236 @@ func Iso(a, b *Graph) bool {
 	return Canonical(a) == Canonical(b)
 }
 
-type neighbor struct {
-	to    int
-	label string
-}
+// arc is one end of an edge as seen from a node: the node at the other
+// end and the rank of the edge's label.
+type arc struct{ to, label int }
 
 type search struct {
-	g    *Graph
-	n    int
-	adj  [][]neighbor
-	best string
+	g   *Graph
+	n   int
+	off []int // node v's arcs are adj[off[v]:off[v+1]]
+	adj []arc
+	// colors holds one row of n colours per search depth. Every level
+	// of branching adds a cell, so there are at most n levels.
+	colors []int
+	// Refinement buffers: sig[off[v]:off[v+1]] is node v's sorted
+	// neighbourhood signature, order lists the nodes by (colour, sig)
+	// and next receives the colours of the following round.
+	sig, order, next []int
+	// Encoding buffers: edge i rendered as "u-v:label" is
+	// text[eoff[i]:eoff[i+1]], and eord lists the edges in output order.
+	text       []byte
+	eoff, eord []int
+	enc, best  []byte
+}
+
+// compareTilde orders a+"~" against b+"~" bytewise. The canonical form
+// was first defined by sorting "label~colour" strings, and that is the
+// order edge labels take there; it differs from plain string order
+// exactly when one label is a prefix of the other. (For labels that
+// themselves contain '~' the original order also depended on the colour
+// digits; such labels still canonicalize consistently, but not
+// necessarily to the bytes the original produced.)
+func compareTilde(a, b string) int {
+	switch {
+	case len(a) < len(b) && b[:len(a)] == a:
+		if b[len(a)] < '~' {
+			return 1
+		}
+		return -1
+	case len(b) < len(a) && a[:len(b)] == b:
+		if a[len(b)] < '~' {
+			return -1
+		}
+		return 1
+	}
+	return strings.Compare(a, b)
 }
 
 func newSearch(g *Graph) *search {
-	n := len(g.Labels)
-	s := &search{g: g, n: n, adj: make([][]neighbor, n)}
-	for _, e := range g.Edges {
-		s.adj[e.U] = append(s.adj[e.U], neighbor{to: e.V, label: e.Label})
-		if e.U != e.V {
-			s.adj[e.V] = append(s.adj[e.V], neighbor{to: e.U, label: e.Label})
+	n, m := len(g.Labels), len(g.Edges)
+	s := &search{g: g, n: n}
+	ints := make([]int, (n+1)+n*n+2*m+n+n+(m+1)+m)
+	take := func(k int) []int {
+		out := ints[:k:k]
+		ints = ints[k:]
+		return out
+	}
+	s.off, s.colors, s.sig = take(n+1), take(n*n), take(2*m)
+	s.order, s.next, s.eoff, s.eord = take(n), take(n), take(m+1), take(m)
+
+	// An edge label's rank is the number of edges with a smaller label
+	// (eoff is borrowed to hold it until the first encoding).
+	rank := s.eoff[:m]
+	for i, e := range g.Edges {
+		for _, f := range g.Edges {
+			if compareTilde(f.Label, e.Label) < 0 {
+				rank[i]++
+			}
 		}
+	}
+
+	// Adjacency in compressed rows; a loop contributes one arc.
+	for _, e := range g.Edges {
+		s.off[e.U+1]++
+		if e.U != e.V {
+			s.off[e.V+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		s.off[v+1] += s.off[v]
+	}
+	s.adj = make([]arc, s.off[n])
+	s.sig = s.sig[:s.off[n]]
+	fill := s.next
+	copy(fill, s.off)
+	for i, e := range g.Edges {
+		s.adj[fill[e.U]] = arc{to: e.V, label: rank[i]}
+		fill[e.U]++
+		if e.U != e.V {
+			s.adj[fill[e.V]] = arc{to: e.U, label: rank[i]}
+			fill[e.V]++
+		}
+	}
+
+	// Initial colouring by node label, ranks assigned in sorted label
+	// order so the colouring is permutation-invariant.
+	for v := range s.order {
+		s.order[v] = v
+	}
+	slices.SortFunc(s.order, func(v, w int) int { return strings.Compare(g.Labels[v], g.Labels[w]) })
+	c := 0
+	for i, v := range s.order {
+		if i > 0 && g.Labels[s.order[i-1]] != g.Labels[v] {
+			c++
+		}
+		s.colors[v] = c
 	}
 	return s
 }
 
-func (s *search) run() {
-	colors := make([]int, s.n)
-	// Initial colouring by node label, ranks assigned in sorted label
-	// order so the colouring is permutation-invariant.
-	labels := append([]string(nil), s.g.Labels...)
-	sort.Strings(labels)
-	rank := map[string]int{}
-	for _, l := range labels {
-		if _, ok := rank[l]; !ok {
-			rank[l] = len(rank)
-		}
-	}
-	for i, l := range s.g.Labels {
-		colors[i] = rank[l]
-	}
-	s.branch(colors)
-}
-
-// refine runs colour refinement to a fixpoint. New colour ranks are
-// assigned by sorting (old colour, neighbourhood signature), which keeps
-// the refinement permutation-invariant.
-func (s *search) refine(colors []int) {
+// refine runs colour refinement on row to a fixpoint. A round ranks the
+// nodes by (old colour, sorted multiset of (edge label, neighbour
+// colour) pairs), which keeps the refinement permutation-invariant.
+// Colours are always dense ranks, and refinement only ever splits
+// cells, so the partition is stable when a round adds no colour.
+func (s *search) refine(row []int) {
+	n := s.n
+	colours := slices.Max(row) + 1
 	for {
-		type key struct {
-			node int
-			sig  string
-		}
-		keys := make([]key, s.n)
-		for v := 0; v < s.n; v++ {
-			parts := make([]string, 0, len(s.adj[v]))
-			for _, nb := range s.adj[v] {
-				parts = append(parts, fmt.Sprintf("%s~%06d", nb.label, colors[nb.to]))
+		for v := 0; v < n; v++ {
+			seg := s.sig[s.off[v]:s.off[v+1]]
+			for i, a := range s.adj[s.off[v]:s.off[v+1]] {
+				seg[i] = a.label*n + row[a.to]
 			}
-			sort.Strings(parts)
-			keys[v] = key{node: v, sig: fmt.Sprintf("%06d|%s", colors[v], strings.Join(parts, ","))}
+			slices.Sort(seg)
 		}
-		sorted := append([]key(nil), keys...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].sig < sorted[j].sig })
-		newColors := make([]int, s.n)
-		c := -1
-		prev := ""
-		for _, k := range sorted {
-			if k.sig != prev {
+		for v := range s.order {
+			s.order[v] = v
+		}
+		for i := 1; i < n; i++ {
+			for j := i; j > 0 && s.compareNodes(row, s.order[j], s.order[j-1]) < 0; j-- {
+				s.order[j], s.order[j-1] = s.order[j-1], s.order[j]
+			}
+		}
+		c := 0
+		for i, v := range s.order {
+			if i > 0 && s.compareNodes(row, s.order[i-1], v) != 0 {
 				c++
-				prev = k.sig
 			}
-			newColors[k.node] = c
+			s.next[v] = c
 		}
-		same := true
-		// The partition is stable when the number of colours stops
-		// growing (refinement only ever splits cells).
-		if countColors(newColors) != countColors(colors) {
-			same = false
-		}
-		copy(colors, newColors)
-		if same {
+		copy(row, s.next)
+		if c+1 == colours {
 			return
 		}
+		colours = c + 1
 	}
 }
 
-func countColors(colors []int) int {
-	seen := map[int]bool{}
-	for _, c := range colors {
-		seen[c] = true
+func (s *search) compareNodes(row []int, v, w int) int {
+	if row[v] != row[w] {
+		return row[v] - row[w]
 	}
-	return len(seen)
+	return slices.Compare(s.sig[s.off[v]:s.off[v+1]], s.sig[s.off[w]:s.off[w+1]])
 }
 
-func (s *search) branch(colors []int) {
-	work := append([]int(nil), colors...)
-	s.refine(work)
-	// Find the first non-singleton cell (smallest colour).
-	cells := map[int][]int{}
-	for v, c := range work {
-		cells[c] = append(cells[c], v)
+// branch refines the colouring at the given depth and, unless it is
+// discrete, individualizes each node of the first non-singleton cell
+// (smallest colour) in turn.
+func (s *search) branch(depth int) {
+	n := s.n
+	row := s.colors[depth*n : (depth+1)*n]
+	s.refine(row)
+	size := s.next
+	clear(size)
+	for _, c := range row {
+		size[c]++
 	}
-	target := -1
-	for c := 0; c < s.n; c++ {
-		if len(cells[c]) > 1 {
-			target = c
-			break
-		}
-	}
+	target := slices.IndexFunc(size, func(k int) bool { return k > 1 })
 	if target == -1 {
-		enc := s.encode(work)
-		if s.best == "" || enc < s.best {
-			s.best = enc
-		}
+		s.encode(row)
 		return
 	}
-	for _, v := range cells[target] {
-		child := make([]int, s.n)
-		// Individualize v: give it a colour just below its cell, shift
-		// everything at or above the cell up by one.
-		for w, c := range work {
+	child := s.colors[(depth+1)*n : (depth+2)*n]
+	for v := 0; v < n; v++ {
+		if row[v] != target {
+			continue
+		}
+		// Individualize v: it keeps the cell's colour, everything else
+		// at or above the cell shifts up by one.
+		for w, c := range row {
 			if c >= target {
-				child[w] = c + 1
-			} else {
-				child[w] = c
+				c++
 			}
+			child[w] = c
 		}
 		child[v] = target
-		s.branch(child)
+		s.branch(depth + 1)
 	}
 }
 
-// encode renders the graph under the discrete colouring (colours form a
-// permutation) as "labels;edges" with edges sorted.
-func (s *search) encode(colors []int) string {
-	pos := make([]int, s.n) // node -> canonical position
-	copy(pos, colors)
-	nodeAt := make([]int, s.n)
+// encode renders the graph under the discrete colouring pos (node v at
+// canonical position pos[v]) as "labels;edges" with the edges sorted as
+// strings, and keeps the least encoding seen.
+func (s *search) encode(pos []int) {
+	nodeAt := s.order
 	for v, p := range pos {
 		nodeAt[p] = v
 	}
-	var b strings.Builder
-	for p := 0; p < s.n; p++ {
+	enc := s.enc[:0]
+	for p, v := range nodeAt {
 		if p > 0 {
-			b.WriteByte(',')
+			enc = append(enc, ',')
 		}
-		b.WriteString(s.g.Labels[nodeAt[p]])
+		enc = append(enc, s.g.Labels[v]...)
 	}
-	b.WriteByte(';')
-	edges := make([]string, 0, len(s.g.Edges))
-	for _, e := range s.g.Edges {
+	enc = append(enc, ';')
+	text := s.text[:0]
+	for i, e := range s.g.Edges {
 		u, v := pos[e.U], pos[e.V]
 		if u > v {
 			u, v = v, u
 		}
-		edges = append(edges, fmt.Sprintf("%d-%d:%s", u, v, e.Label))
+		s.eoff[i], s.eord[i] = len(text), i
+		text = strconv.AppendInt(text, int64(u), 10)
+		text = append(text, '-')
+		text = strconv.AppendInt(text, int64(v), 10)
+		text = append(text, ':')
+		text = append(text, e.Label...)
 	}
-	sort.Strings(edges)
-	b.WriteString(strings.Join(edges, ","))
-	return b.String()
+	s.eoff[len(s.g.Edges)] = len(text)
+	s.text = text
+	edge := func(i int) []byte { return text[s.eoff[i]:s.eoff[i+1]] }
+	slices.SortFunc(s.eord, func(i, j int) int { return bytes.Compare(edge(i), edge(j)) })
+	for k, i := range s.eord {
+		if k > 0 {
+			enc = append(enc, ',')
+		}
+		enc = append(enc, edge(i)...)
+	}
+	s.enc = enc
+	if len(s.best) == 0 || bytes.Compare(enc, s.best) < 0 {
+		s.enc, s.best = s.best, s.enc
+	}
 }

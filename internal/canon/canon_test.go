@@ -224,87 +224,6 @@ func TestIsPath(t *testing.T) {
 	}
 }
 
-func TestBuilderUnionSemantics(t *testing.T) {
-	// Union l2 (78-103-215) and l6 (78-103-34-215): shared node 103
-	// must appear once; shared edge 25 must appear once.
-	b := NewBuilder()
-	// l2
-	b.Node(78, "Protein")
-	b.Node(103, "Unigene")
-	b.Node(215, "DNA")
-	b.Edge(25, 78, 103, "uni_encodes")
-	b.Edge(62, 103, 215, "uni_contains")
-	// l6
-	b.Node(78, "Protein")
-	b.Node(103, "Unigene")
-	b.Node(34, "Protein")
-	b.Node(215, "DNA")
-	b.Edge(25, 78, 103, "uni_encodes")
-	b.Edge(14, 103, 34, "uni_encodes")
-	b.Edge(44, 34, 215, "encodes")
-	g := b.Graph()
-	if g.NumNodes() != 4 {
-		t.Errorf("union nodes = %d, want 4", g.NumNodes())
-	}
-	if g.NumEdges() != 4 {
-		t.Errorf("union edges = %d, want 4", g.NumEdges())
-	}
-	if b.NumNodes() != 4 || b.NumEdges() != 4 {
-		t.Error("builder counters wrong")
-	}
-	// The union must equal T3 from the T3-vs-T4 test.
-	t3 := &Graph{
-		Labels: []string{"Protein", "Unigene", "DNA", "Protein"},
-		Edges: []Edge{
-			{U: 0, V: 1, Label: "uni_encodes"},
-			{U: 1, V: 2, Label: "uni_contains"},
-			{U: 1, V: 3, Label: "uni_encodes"},
-			{U: 3, V: 2, Label: "encodes"},
-		},
-	}
-	if !Iso(g, t3) {
-		t.Errorf("union of l2 and l6 is not T3:\n got %q\nwant %q", Canonical(g), Canonical(t3))
-	}
-}
-
-func TestBuilderPanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("relabel", func() {
-		b := NewBuilder()
-		b.Node(1, "A")
-		b.Node(1, "B")
-	})
-	mustPanic("dangling edge", func() {
-		b := NewBuilder()
-		b.Node(1, "A")
-		b.Edge(9, 1, 2, "e")
-	})
-	mustPanic("dangling edge u", func() {
-		b := NewBuilder()
-		b.Node(2, "A")
-		b.Edge(9, 1, 2, "e")
-	})
-}
-
-func TestBuilderSnapshotIndependence(t *testing.T) {
-	b := NewBuilder()
-	b.Node(1, "A")
-	g1 := b.Graph()
-	b.Node(2, "B")
-	b.Edge(5, 1, 2, "e")
-	g2 := b.Graph()
-	if g1.NumNodes() != 1 || g2.NumNodes() != 2 {
-		t.Error("Graph snapshot shares state with builder")
-	}
-}
-
 func BenchmarkCanonicalPath3(b *testing.B) {
 	g := pathGraph([]string{"Protein", "Unigene", "Protein", "DNA"},
 		[]string{"uni_encodes", "uni_encodes", "encodes"})

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"runtime"
-	"sort"
+	"slices"
 
-	"toposearch/internal/canon"
 	"toposearch/internal/graph"
 )
 
@@ -75,39 +75,39 @@ func PathClasses(g *graph.Graph, a, b graph.NodeID, maxLen int) map[graph.PathSi
 		return true
 	})
 	for _, paths := range classes {
-		sortPaths(paths)
+		slices.SortFunc(paths, comparePaths)
 	}
 	return classes
 }
 
-func sortPaths(paths []graph.Path) {
-	sort.Slice(paths, func(i, j int) bool {
-		pi, pj := paths[i], paths[j]
-		if len(pi.Nodes) != len(pj.Nodes) {
-			return len(pi.Nodes) < len(pj.Nodes)
-		}
-		for k := range pi.Nodes {
-			if pi.Nodes[k] != pj.Nodes[k] {
-				return pi.Nodes[k] < pj.Nodes[k]
-			}
-		}
-		for k := range pi.Edges {
-			if pi.Edges[k] != pj.Edges[k] {
-				return pi.Edges[k] < pj.Edges[k]
-			}
-		}
-		return false
-	})
+// comparePaths orders paths by length, then node sequence, then edge
+// sequence.
+func comparePaths(p, q graph.Path) int {
+	if c := cmp.Compare(len(p.Nodes), len(q.Nodes)); c != 0 {
+		return c
+	}
+	if c := slices.Compare(p.Nodes, q.Nodes); c != 0 {
+		return c
+	}
+	return slices.Compare(p.Edges, q.Edges)
 }
 
-// sortedSigs returns the class signatures in lexicographic order.
-func sortedSigs(classes map[graph.PathSig][]graph.Path) []graph.PathSig {
+// classReps lists a pair's classes in signature order with the
+// representatives the Definition 2 enumeration draws from each.
+func classReps(classes map[graph.PathSig][]graph.Path, opts Options) ([]graph.PathSig, [][]graph.Path) {
 	sigs := make([]graph.PathSig, 0, len(classes))
 	for s := range classes {
 		sigs = append(sigs, s)
 	}
-	sort.Slice(sigs, func(i, j int) bool { return sigs[i] < sigs[j] })
-	return sigs
+	slices.Sort(sigs)
+	reps := make([][]graph.Path, len(sigs))
+	for i, s := range sigs {
+		reps[i] = classes[s]
+		if opts.MaxPathsPerClass > 0 && len(reps[i]) > opts.MaxPathsPerClass {
+			reps[i] = reps[i][:opts.MaxPathsPerClass]
+		}
+	}
+	return sigs, reps
 }
 
 // TopologiesFromClasses computes l-Top(a,b) (Definition 2) given the
@@ -117,82 +117,11 @@ func sortedSigs(classes map[graph.PathSig][]graph.Path) []graph.PathSig {
 // sorted, duplicate-free ID list.
 func TopologiesFromClasses(g *graph.Graph, reg *Registry,
 	classes map[graph.PathSig][]graph.Path, opts Options) []TopologyID {
-	out := topologiesFromClassesOrdered(g, reg, classes, opts)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// topologiesFromClassesOrdered is TopologiesFromClasses returning the
-// IDs in within-cell discovery order instead of sorted. Discovery
-// order is intrinsic to the cell — it depends only on the pair's path
-// classes (sorted signatures, sorted representatives, the bounded
-// combination enumeration), never on the registry's prior contents —
-// which is what lets the incremental-update merge replay a cell's
-// registrations in exactly the order a from-scratch sequential run
-// would perform them.
-func topologiesFromClassesOrdered(g *graph.Graph, reg *Registry,
-	classes map[graph.PathSig][]graph.Path, opts Options) []TopologyID {
 	opts = opts.withDefaults()
-	if len(classes) == 0 {
-		return nil
-	}
-	sigs := sortedSigs(classes)
-	reps := make([][]graph.Path, len(sigs))
-	for i, s := range sigs {
-		reps[i] = classes[s]
-		if opts.MaxPathsPerClass > 0 && len(reps[i]) > opts.MaxPathsPerClass {
-			reps[i] = reps[i][:opts.MaxPathsPerClass]
-		}
-	}
-
-	seen := make(map[TopologyID]bool)
-	var out []TopologyID
-	budget := opts.MaxCombinations
-	choice := make([]graph.Path, len(sigs))
-	var rec func(i int)
-	rec = func(i int) {
-		if budget <= 0 {
-			return
-		}
-		if i == len(sigs) {
-			budget--
-			id := registerUnion(g, reg, choice, sigs)
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
-			return
-		}
-		for _, p := range reps[i] {
-			choice[i] = p
-			rec(i + 1)
-			if budget <= 0 {
-				return
-			}
-		}
-	}
-	rec(0)
+	sigs, reps := classReps(classes, opts)
+	out := newUnions(g).topologies(reg, reps, sigs, opts, nil)
+	slices.Sort(out)
 	return out
-}
-
-// registerUnion unions the chosen representative paths into one labeled
-// graph and registers its topology.
-func registerUnion(g *graph.Graph, reg *Registry, paths []graph.Path, sigs []graph.PathSig) TopologyID {
-	b := canon.NewBuilder()
-	for _, p := range paths {
-		addPath(g, b, p)
-	}
-	return reg.Register(b.Graph(), sigs)
-}
-
-func addPath(g *graph.Graph, b *canon.Builder, p graph.Path) {
-	for i, n := range p.Nodes {
-		t, _ := g.NodeType(n)
-		b.Node(int64(n), g.NodeTypes.Name(t))
-		if i > 0 {
-			b.Edge(p.Edges[i-1], int64(p.Nodes[i-1]), int64(n), g.EdgeTypes.Name(p.Types[i-1]))
-		}
-	}
 }
 
 // TopologiesOf computes l-Top(a,b) directly from the data graph.

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -81,6 +83,20 @@ type Result struct {
 	Reg   *Registry
 	Opts  Options
 	Pairs map[[2]string]*PairData
+
+	canon canonStats
+}
+
+// canonStats counts the unions whose canonical form a computation
+// looked up (calls) and those for which it ran the canonicalizer
+// (misses); the rest were answered by the workers' shape memos.
+type canonStats struct{ calls, misses int }
+
+// CanonStats reports how many unions the computation reduced to a
+// canonical form and for how many of them it ran the canonicalizer —
+// for an incremental update, those of the recomputed frontier only.
+func (res *Result) CanonStats() (calls, misses int) {
+	return res.canon.calls, res.canon.misses
 }
 
 // Pair returns the data for an entity-set pair, or nil.
@@ -94,13 +110,14 @@ func (res *Result) TopsOf(es1, es2 string, a, b graph.NodeID) []TopologyID {
 	if pd == nil {
 		return nil
 	}
+	// Entries are ordered by (A, B), and by TID within a pair.
+	i, _ := slices.BinarySearchFunc(pd.Entries, pairKey{a, b}, func(e Entry, k pairKey) int {
+		return cmp.Or(cmp.Compare(e.A, k.a), cmp.Compare(e.B, k.b))
+	})
 	var out []TopologyID
-	for _, e := range pd.Entries {
-		if e.A == a && e.B == b {
-			out = append(out, e.TID)
-		}
+	for ; i < len(pd.Entries) && pd.Entries[i].A == a && pd.Entries[i].B == b; i++ {
+		out = append(out, pd.Entries[i].TID)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -120,7 +137,7 @@ func Compute(ctx context.Context, g *graph.Graph, sg *graph.SchemaGraph, pairs [
 	opts = opts.withDefaults()
 	res := &Result{Reg: NewRegistry(), Opts: opts, Pairs: make(map[[2]string]*PairData)}
 	for _, pr := range pairs {
-		pd, err := computePair(ctx, g, sg, res.Reg, pr[0], pr[1], opts)
+		pd, err := computePair(ctx, g, sg, res, pr[0], pr[1], opts)
 		if err != nil {
 			return nil, err
 		}
@@ -144,7 +161,7 @@ type cellOutput struct {
 	sigs []graph.PathSig
 }
 
-func computePair(ctx context.Context, g *graph.Graph, sg *graph.SchemaGraph, reg *Registry, es1, es2 string, opts Options) (*PairData, error) {
+func computePair(ctx context.Context, g *graph.Graph, sg *graph.SchemaGraph, res *Result, es1, es2 string, opts Options) (*PairData, error) {
 	schemaPaths, err := sg.EnumeratePaths(es1, es2, opts.MaxLen)
 	if err != nil {
 		return nil, fmt.Errorf("core: computing %s-%s: %w", es1, es2, err)
@@ -164,10 +181,9 @@ func computePair(ctx context.Context, g *graph.Graph, sg *graph.SchemaGraph, reg
 	if !ok {
 		return pd, nil // entity set empty in this database
 	}
-	starts := append([]graph.NodeID(nil), g.NodesOfType(t1)...)
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+	starts := slices.Sorted(slices.Values(g.NodesOfType(t1)))
 
-	results, err := runStarts(ctx, g, sg, starts, schemaPaths, selfPair, opts)
+	results, err := runStarts(ctx, g, sg, starts, schemaPaths, selfPair, opts, &res.canon)
 	if err != nil {
 		return nil, fmt.Errorf("core: computing %s-%s: %w", es1, es2, err)
 	}
@@ -181,7 +197,7 @@ func computePair(ctx context.Context, g *graph.Graph, sg *graph.SchemaGraph, reg
 	// and with them Entries and Freq — come out byte-identical for
 	// every parallelism level.
 	for i := range results {
-		mergeStart(reg, pd, starts[i], &results[i])
+		mergeStart(res.Reg, pd, starts[i], &results[i])
 	}
 	return pd, nil
 }
@@ -201,7 +217,8 @@ func newPairData(es1, es2 string) *PairData {
 // into its own local registry, so the hot path takes no locks; results
 // land in the per-start slot, so no two goroutines share state beyond
 // the atomic work counter. The incremental-update path reuses it over
-// just the affected start-node frontier.
+// just the affected start-node frontier. The workers' canonicalization
+// counts are added to stats.
 //
 // Workers are failure-contained: a panic in one worker is recovered
 // into a *fault.PanicError, cancels the siblings, and surfaces as the
@@ -209,13 +226,26 @@ func newPairData(es1, es2 string) *PairData {
 // a real failure and the resulting cancellation are observed, the real
 // failure wins.
 func runStarts(ctx context.Context, g *graph.Graph, sg *graph.SchemaGraph, starts []graph.NodeID,
-	schemaPaths []graph.SchemaPath, selfPair bool, opts Options) ([]startOutput, error) {
+	schemaPaths []graph.SchemaPath, selfPair bool, opts Options, stats *canonStats) ([]startOutput, error) {
 	workers := opts.Workers()
 	if workers > len(starts) {
 		workers = len(starts)
 	}
 	if workers < 1 {
 		workers = 1
+	}
+	// A path materialized along a schema path has that schema path's
+	// signature, so classes are told apart per schema path, not per
+	// instance path: sigs are the distinct signatures in ascending
+	// order and classOf maps each schema path to its signature's index.
+	spSigs := make([]graph.PathSig, len(schemaPaths))
+	for i, sp := range schemaPaths {
+		spSigs[i] = sp.TypeSignature(sg)
+	}
+	sigs := slices.Compact(slices.Sorted(slices.Values(spSigs)))
+	classOf := make([]int, len(schemaPaths))
+	for i, s := range spSigs {
+		classOf[i], _ = slices.BinarySearch(sigs, s)
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -233,8 +263,11 @@ func runStarts(ctx context.Context, g *graph.Graph, sg *graph.SchemaGraph, start
 		failMu.Unlock()
 		cancel()
 	}
+	pool := make([]*startWorker, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for i := range pool {
+		w := &startWorker{reg: NewRegistry(), sc: g.NewScratch(), u: newUnions(g), sigs: sigs, classOf: classOf}
+		pool[i] = w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -243,9 +276,6 @@ func runStarts(ctx context.Context, g *graph.Graph, sg *graph.SchemaGraph, start
 					fail(fault.NewPanicError("core.start", v))
 				}
 			}()
-			localReg := NewRegistry()
-			sc := g.NewScratch()
-			acc := make(map[graph.NodeID][]graph.Path)
 			for {
 				// Cancellation is checked before claiming each start
 				// node (and, more finely, inside computeStart — one
@@ -264,13 +294,17 @@ func runStarts(ctx context.Context, g *graph.Graph, sg *graph.SchemaGraph, start
 					fail(err)
 					return
 				}
-				results[i] = computeStart(ctx, g, sg, localReg, sc, acc, starts[i], schemaPaths, selfPair, opts)
+				results[i] = w.computeStart(ctx, g, sg, starts[i], schemaPaths, selfPair, opts)
 			}
 		}()
 	}
 	wg.Wait()
 	if failErr != nil {
 		return nil, failErr
+	}
+	for _, w := range pool {
+		stats.calls += w.u.calls
+		stats.misses += w.u.misses
 	}
 	return results, nil
 }
@@ -295,8 +329,11 @@ func mergeStart(reg *Registry, pd *PairData, a graph.NodeID, ro *startOutput) {
 func mergeCell(pd *PairData, a, b graph.NodeID, gids []TopologyID, sigs []graph.PathSig) {
 	key := pairKey{a, b}
 	pd.cellTops[key] = gids
-	sorted := append([]TopologyID(nil), gids...)
-	sort.Slice(sorted, func(x, y int) bool { return sorted[x] < sorted[y] })
+	sorted := gids
+	if !slices.IsSorted(gids) {
+		sorted = slices.Clone(gids)
+		slices.Sort(sorted)
+	}
 	for _, tid := range sorted {
 		pd.Entries = append(pd.Entries, Entry{A: a, B: b, TID: tid})
 		pd.Freq[tid]++
@@ -308,25 +345,54 @@ func mergeCell(pd *PairData, a, b graph.NodeID, gids []TopologyID, sigs []graph.
 // through between context checks inside the enumeration DFS.
 const cancelCheckStride = 1024
 
+// startWorker is one pool worker's state: the local registry its
+// topology IDs refer to, and the buffers it reuses from start node to
+// start node (the same reuse the online SQLMethod's per-worker state
+// applies), so that a start node allocates only what its output keeps.
+type startWorker struct {
+	reg *Registry
+	sc  *graph.Scratch
+	u   *unions
+	// sigs and classOf are shared by the pool, read-only (see runStarts).
+	sigs    []graph.PathSig
+	classOf []int
+
+	found []foundPath
+	// Backing arrays of the found paths. A path is cut out of them as
+	// it is appended, capacity clipped; when one of them grows into a
+	// new array the earlier paths keep pointing into the old one, whose
+	// contents never change.
+	nodes []graph.NodeID
+	edges []int64
+	types []graph.TypeID
+	paths []graph.Path   // found paths in (end node, class, path) order
+	reps  [][]graph.Path // the current cell's representatives per class
+}
+
+// foundPath is an instance path from the start node to end node b in
+// class sigs[class].
+type foundPath struct {
+	b     graph.NodeID
+	class int
+	path  graph.Path
+}
+
 // computeStart processes one start node: materialize every conforming
 // instance path from a, group by end node and equivalence class, and
 // derive each (a, b) cell's topologies into the worker-local registry.
-// acc is the worker's reusable end-node accumulator (the same reuse
-// the online SQLMethod's per-worker state applies): it is cleared here
-// before use, so each worker allocates the map once instead of once
-// per start node.
 //
 // Cancellation is additionally checked every cancelCheckStride
 // materialized paths and before each (a, b) cell, so even a
 // pathologically expensive start node (l=4 with weak relationships)
 // aborts quickly. On abort the partial output is irrelevant: Compute
 // discards everything and returns ctx.Err().
-func computeStart(ctx context.Context, g *graph.Graph, sg *graph.SchemaGraph, localReg *Registry, sc *graph.Scratch,
-	acc map[graph.NodeID][]graph.Path, a graph.NodeID, schemaPaths []graph.SchemaPath, selfPair bool, opts Options) startOutput {
-	clear(acc)
+func (w *startWorker) computeStart(ctx context.Context, g *graph.Graph, sg *graph.SchemaGraph,
+	a graph.NodeID, schemaPaths []graph.SchemaPath, selfPair bool, opts Options) startOutput {
+	out := startOutput{reg: w.reg}
+	w.found, w.nodes, w.edges, w.types = w.found[:0], w.nodes[:0], w.edges[:0], w.types[:0]
 	npaths := 0
-	for _, sp := range schemaPaths {
-		g.PathsAlongScratch(sc, sg, sp, a, func(p graph.Path) bool {
+	for i, sp := range schemaPaths {
+		g.PathsAlongScratch(w.sc, sg, sp, a, func(p graph.Path) bool {
 			npaths++
 			if npaths%cancelCheckStride == 0 && ctx.Err() != nil {
 				return false
@@ -335,33 +401,53 @@ func computeStart(ctx context.Context, g *graph.Graph, sg *graph.SchemaGraph, lo
 			if selfPair && b <= a {
 				return true // counted from the smaller endpoint
 			}
-			acc[b] = append(acc[b], p.Clone())
+			nn, ne := len(w.nodes), len(w.edges)
+			w.nodes, w.edges, w.types = append(w.nodes, p.Nodes...), append(w.edges, p.Edges...), append(w.types, p.Types...)
+			w.found = append(w.found, foundPath{b: b, class: w.classOf[i], path: graph.Path{
+				Nodes: slices.Clip(w.nodes[nn:]), Edges: slices.Clip(w.edges[ne:]), Types: slices.Clip(w.types[ne:]),
+			}})
 			return true
 		})
 		if ctx.Err() != nil {
-			return startOutput{reg: localReg}
+			return out
 		}
 	}
-	ends := make([]graph.NodeID, 0, len(acc))
-	for b := range acc {
-		ends = append(ends, b)
+	slices.SortFunc(w.found, func(x, y foundPath) int {
+		if c := cmp.Or(cmp.Compare(x.b, y.b), cmp.Compare(x.class, y.class)); c != 0 {
+			return c
+		}
+		return comparePaths(x.path, y.path)
+	})
+	w.paths = w.paths[:0]
+	for _, f := range w.found {
+		w.paths = append(w.paths, f.path)
 	}
-	sort.Slice(ends, func(i, j int) bool { return ends[i] < ends[j] })
-	out := startOutput{reg: localReg, cells: make([]cellOutput, 0, len(ends))}
-	for _, b := range ends {
+	// The cells' class sets and topology IDs are cut out of two arrays
+	// per start node the same way the paths are.
+	var sigs []graph.PathSig
+	var tids []TopologyID
+	for lo, hi := 0, 0; lo < len(w.found); lo = hi {
 		if ctx.Err() != nil {
 			return out
 		}
-		classes := make(map[graph.PathSig][]graph.Path)
-		for _, p := range acc[b] {
-			sig := g.Signature(p)
-			classes[sig] = append(classes[sig], p)
+		b := w.found[lo].b
+		nsigs, ntids := len(sigs), len(tids)
+		w.reps = w.reps[:0]
+		for hi < len(w.found) && w.found[hi].b == b {
+			class, from := w.found[hi].class, hi
+			for hi < len(w.found) && w.found[hi].b == b && w.found[hi].class == class {
+				hi++
+			}
+			sigs = append(sigs, w.sigs[class])
+			to := hi
+			if opts.MaxPathsPerClass > 0 && to-from > opts.MaxPathsPerClass {
+				to = from + opts.MaxPathsPerClass
+			}
+			w.reps = append(w.reps, w.paths[from:to])
 		}
-		for _, ps := range classes {
-			sortPaths(ps)
-		}
-		tids := topologiesFromClassesOrdered(g, localReg, classes, opts)
-		out.cells = append(out.cells, cellOutput{b: b, tids: tids, sigs: sortedSigs(classes)})
+		cellSigs := slices.Clip(sigs[nsigs:])
+		tids = w.u.topologies(w.reg, w.reps, cellSigs, opts, tids)
+		out.cells = append(out.cells, cellOutput{b: b, tids: slices.Clip(tids[ntids:]), sigs: cellSigs})
 	}
 	return out
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 
-	"toposearch/internal/canon"
 	"toposearch/internal/graph"
 )
 
@@ -27,53 +26,21 @@ func WitnessFor(g *graph.Graph, reg *Registry, a, b graph.NodeID, tid TopologyID
 	if info == nil {
 		return Witness{}, false
 	}
-	classes := PathClasses(g, a, b, opts.MaxLen)
-	if len(classes) == 0 {
-		return Witness{}, false
-	}
-	sigs := sortedSigs(classes)
-	reps := make([][]graph.Path, len(sigs))
-	for i, s := range sigs {
-		reps[i] = classes[s]
-		if opts.MaxPathsPerClass > 0 && len(reps[i]) > opts.MaxPathsPerClass {
-			reps[i] = reps[i][:opts.MaxPathsPerClass]
-		}
-	}
-	budget := opts.MaxCombinations
-	choice := make([]graph.Path, len(sigs))
+	_, reps := classReps(PathClasses(g, a, b, opts.MaxLen), opts)
+	u := newUnions(g)
 	var found []graph.Path
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if budget <= 0 {
-			return false
+	u.combinations(reps, opts.MaxCombinations, func(choice []graph.Path) bool {
+		u.assemble(choice)
+		if u.canonical() != info.Canon {
+			return true
 		}
-		if i == len(sigs) {
-			budget--
-			bld := canon.NewBuilder()
-			for _, p := range choice {
-				addPath(g, bld, p)
-			}
-			if canon.Canonical(bld.Graph()) == info.Canon {
-				found = make([]graph.Path, len(choice))
-				for j, p := range choice {
-					found[j] = p.Clone()
-				}
-				return true
-			}
-			return false
-		}
-		for _, p := range reps[i] {
-			choice[i] = p
-			if rec(i + 1) {
-				return true
-			}
-			if budget <= 0 {
-				return false
-			}
+		found = make([]graph.Path, len(choice))
+		for j, p := range choice {
+			found[j] = p.Clone()
 		}
 		return false
-	}
-	if !rec(0) {
+	})
+	if found == nil {
 		return Witness{}, false
 	}
 	return Witness{A: a, B: b, TID: tid, Paths: found}, true

@@ -11,9 +11,8 @@ import (
 	"toposearch/internal/graph"
 )
 
-// randomEnv builds a small random database and computes Protein-DNA
-// topologies for it.
-func randomEnv(seed int64) (*core.Result, *graph.Graph, error) {
+// randomGraph builds a small random database.
+func randomGraph(seed int64) (*graph.Graph, *graph.SchemaGraph, error) {
 	cfg := biozon.GenConfig{
 		Seed:     seed,
 		Proteins: 40, DNAs: 50, Unigenes: 25, Interactions: 20,
@@ -22,9 +21,15 @@ func randomEnv(seed int64) (*core.Result, *graph.Graph, error) {
 		PInteract: 50, DInteract: 30, Belongs: 40, Manifest: 20, PathElements: 10,
 		Skew: 1.3, MaxDegree: 12, SelfRegulating: 2, Triangles: 3,
 	}
-	db := biozon.Generate(cfg)
 	sg := biozon.SchemaGraph()
-	g, err := graph.Build(db, sg)
+	g, err := graph.Build(biozon.Generate(cfg), sg)
+	return g, sg, err
+}
+
+// randomEnv computes Protein-DNA topologies for a small random
+// database.
+func randomEnv(seed int64) (*core.Result, *graph.Graph, error) {
+	g, sg, err := randomGraph(seed)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -10,7 +10,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -68,14 +68,19 @@ func NewRegistry() *Registry {
 // topology ID. Re-registering an isomorphic graph returns the existing
 // ID.
 func (r *Registry) Register(g *canon.Graph, sigs []graph.PathSig) TopologyID {
-	c := canon.Canonical(g) // compute outside the lock; it is expensive
+	return r.intern(canon.Canonical(g), g, sigs) // canonicalize outside the lock; it is expensive
+}
+
+// intern is Register for a graph whose canonical form c is known. The
+// registry keeps g and a sorted copy of sigs if the topology is new.
+func (r *Registry) intern(c string, g *canon.Graph, sigs []graph.PathSig) TopologyID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if id, ok := r.byCanon[c]; ok {
 		return id
 	}
-	sorted := append([]graph.PathSig(nil), sigs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(sigs)
+	slices.Sort(sorted)
 	return r.add(&TopInfo{
 		Canon:    c,
 		Graph:    g,
@@ -113,7 +118,11 @@ func (r *Registry) add(info *TopInfo) TopologyID {
 
 // Lookup finds the ID of a topology isomorphic to g.
 func (r *Registry) Lookup(g *canon.Graph) (TopologyID, bool) {
-	c := canon.Canonical(g)
+	return r.find(canon.Canonical(g))
+}
+
+// find returns the ID registered under canonical form c.
+func (r *Registry) find(c string) (TopologyID, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	id, ok := r.byCanon[c]

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"toposearch/internal/graph"
 )
@@ -56,8 +56,7 @@ func UpdateResult(ctx context.Context, g *graph.Graph, sg *graph.SchemaGraph, ol
 	if !ok {
 		return res, nil // entity set empty in this database
 	}
-	starts := append([]graph.NodeID(nil), g.NodesOfType(t1)...)
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+	starts := slices.Sorted(slices.Values(g.NodesOfType(t1)))
 
 	// Phase 1: recompute only the affected frontier, in ascending order,
 	// on the worker pool.
@@ -67,7 +66,7 @@ func UpdateResult(ctx context.Context, g *graph.Graph, sg *graph.SchemaGraph, ol
 			dirty = append(dirty, a)
 		}
 	}
-	recomputed, err := runStarts(ctx, g, sg, dirty, schemaPaths, selfPair, opts)
+	recomputed, err := runStarts(ctx, g, sg, dirty, schemaPaths, selfPair, opts, &res.canon)
 	if err != nil {
 		return nil, fmt.Errorf("core: updating %s-%s: %w", es1, es2, err)
 	}

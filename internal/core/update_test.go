@@ -84,7 +84,7 @@ func TestUpdateResultMatchesRebuild(t *testing.T) {
 	cfg := biozon.DefaultConfig(1)
 	cfg.Seed = 7
 
-	for _, workers := range []int{1, 4, 8} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		opts := core.Options{MaxLen: 3, MaxCombinations: 4096, MaxPathsPerClass: 64, Parallelism: workers}
 		db := biozon.Generate(cfg)
 		sg := biozon.SchemaGraph()

@@ -13,15 +13,15 @@ import (
 // pathToCanon converts an instance path into a labeled graph for the
 // general canonicalizer.
 func pathToCanon(g *graph.Graph, p graph.Path) *canon.Graph {
-	b := canon.NewBuilder()
+	out := &canon.Graph{}
 	for i, n := range p.Nodes {
 		t, _ := g.NodeType(n)
-		b.Node(int64(n), g.NodeTypes.Name(t))
+		out.Labels = append(out.Labels, g.NodeTypes.Name(t))
 		if i > 0 {
-			b.Edge(p.Edges[i-1], int64(p.Nodes[i-1]), int64(n), g.EdgeTypes.Name(p.Types[i-1]))
+			out.Edges = append(out.Edges, canon.Edge{U: i - 1, V: i, Label: g.EdgeTypes.Name(p.Types[i-1])})
 		}
 	}
-	return b.Graph()
+	return out
 }
 
 // TestSignatureEquivalentToCanonicalForm validates the claim behind
