@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation, plus ablations of the design decisions called out in
-// DESIGN.md. The full paper-layout tables are printed by cmd/benchtab;
+// evaluation, plus ablations of the design decisions described in
+// README.md. The full paper-layout tables are printed by cmd/benchtab;
 // these testing.B benchmarks measure the same code paths one cell at a
 // time so regressions are visible in -bench output.
 package toposearch_test
@@ -14,25 +14,25 @@ import (
 	"toposearch/internal/biozon"
 	"toposearch/internal/canon"
 	"toposearch/internal/core"
-	"toposearch/internal/experiments"
 	"toposearch/internal/methods"
 	"toposearch/internal/optimizer"
+	"toposearch/internal/paper"
 	"toposearch/internal/ranking"
 )
 
 var (
 	benchOnce sync.Once
-	benchEnv  *experiments.Env
+	benchEnv  *paper.Env
 	benchErr  error
 )
 
 // env lazily builds the shared benchmark environment (scale 1 keeps
 // every sub-benchmark in the millisecond range; cmd/benchtab runs the
 // same experiments at larger scales).
-func env(b *testing.B) *experiments.Env {
+func env(b *testing.B) *paper.Env {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchEnv, benchErr = experiments.NewEnv(context.Background(), experiments.Setup{
+		benchEnv, benchErr = paper.NewEnv(context.Background(), paper.Setup{
 			Scale: 1, Seed: 42, PruneThreshold: 3, L: 3, MaxPathsPerClass: 64,
 		})
 	})
@@ -49,7 +49,7 @@ func BenchmarkPrecompute(b *testing.B) {
 	opts := core.Options{MaxLen: 3, MaxCombinations: 4096, MaxPathsPerClass: 64}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Compute(context.Background(), e.G, e.SG, [][2]string{experiments.PairPD}, opts); err != nil {
+		if _, err := core.Compute(context.Background(), e.G, e.SG, [][2]string{paper.PairPD}, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -73,7 +73,7 @@ func BenchmarkComputeParallel(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Compute(context.Background(), e.G, e.SG,
-					experiments.Table1Pairs(), opts); err != nil {
+					paper.Table1Pairs(), opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -106,7 +106,7 @@ func BenchmarkFig11FrequencyDistribution(b *testing.B) {
 	b.ReportAllocs()
 	var slope float64
 	for i := 0; i < b.N; i++ {
-		series := experiments.Fig11(e)
+		series := paper.Fig11(e)
 		slope = series[0].Slope
 	}
 	b.ReportMetric(slope, "loglog-slope-PD")
@@ -119,7 +119,7 @@ func BenchmarkFig12TopTopologies(b *testing.B) {
 	b.ReportAllocs()
 	var paths int
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig12(e, 10)
+		rows := paper.Fig12(e, 10)
 		paths = 0
 		for _, r := range rows {
 			if r.IsPath {
@@ -135,7 +135,7 @@ func BenchmarkFig12TopTopologies(b *testing.B) {
 // Table 1 entity-set pair, reporting the achieved space ratio.
 func BenchmarkTable1Space(b *testing.B) {
 	e := env(b)
-	for _, pair := range experiments.Table1Pairs() {
+	for _, pair := range paper.Table1Pairs() {
 		pair := pair
 		b.Run(pair[0]+"_"+pair[1], func(b *testing.B) {
 			st := e.Store(pair)
@@ -155,16 +155,16 @@ func BenchmarkTable1Space(b *testing.B) {
 // at domain, k=10) — one cell per sub-benchmark of the paper's Table 2.
 func BenchmarkTable2Methods(b *testing.B) {
 	e := env(b)
-	st := e.Store(experiments.PairPI)
-	p2, err := experiments.PredFor(st.T2, "medium")
+	st := e.Store(paper.PairPI)
+	p2, err := paper.PredFor(st.T2, "medium")
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, m := range methods.AllMethods() {
-		for _, sel := range experiments.SelLevels {
+		for _, sel := range paper.SelLevels {
 			m, sel := m, sel
 			b.Run(fmt.Sprintf("%s/protein=%s", m, sel), func(b *testing.B) {
-				p1, err := experiments.PredFor(st.T1, sel)
+				p1, err := paper.PredFor(st.T1, sel)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -192,17 +192,15 @@ func BenchmarkTable2Methods(b *testing.B) {
 // check per pruned topology, the checks sharded over the same pool.
 // The selective protein predicate makes the pruned checks drain their
 // plans (few witnesses), which is the regime the parallel pool speeds
-// up; results are byte-identical at every worker count. cmd/benchtab
-// -exp benchonline reports the same sweep at larger scales as
-// BENCH_online.json.
+// up; results are byte-identical at every worker count.
 func BenchmarkFastTop(b *testing.B) {
 	e := env(b)
-	st := e.Store(experiments.PairPI)
-	p1, err := experiments.PredFor(st.T1, "selective")
+	st := e.Store(paper.PairPI)
+	p1, err := paper.PredFor(st.T1, "selective")
 	if err != nil {
 		b.Fatal(err)
 	}
-	p2, err := experiments.PredFor(st.T2, "medium")
+	p2, err := paper.PredFor(st.T2, "medium")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -232,12 +230,12 @@ func BenchmarkFastTop(b *testing.B) {
 // perf trajectory too.
 func BenchmarkETTop(b *testing.B) {
 	e := env(b)
-	st := e.Store(experiments.PairPI)
-	p1, err := experiments.PredFor(st.T1, "medium")
+	st := e.Store(paper.PairPI)
+	p1, err := paper.PredFor(st.T1, "medium")
 	if err != nil {
 		b.Fatal(err)
 	}
-	p2, err := experiments.PredFor(st.T2, "medium")
+	p2, err := paper.PredFor(st.T2, "medium")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -274,12 +272,12 @@ func BenchmarkETTop(b *testing.B) {
 // slowest method in Table 2 is also the most parallelizable one.
 func BenchmarkSQLMethod(b *testing.B) {
 	e := env(b)
-	st := e.Store(experiments.PairPI)
-	p1, err := experiments.PredFor(st.T1, "selective")
+	st := e.Store(paper.PairPI)
+	p1, err := paper.PredFor(st.T1, "selective")
 	if err != nil {
 		b.Fatal(err)
 	}
-	p2, err := experiments.PredFor(st.T2, "medium")
+	p2, err := paper.PredFor(st.T2, "medium")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -337,14 +335,14 @@ func l4Store(b *testing.B) *methods.Store {
 // across protein selectivities — the paper's Table 3.
 func BenchmarkTable3PathLen4(b *testing.B) {
 	st := l4Store(b)
-	p2, err := experiments.PredFor(st.T2, "medium")
+	p2, err := paper.PredFor(st.T2, "medium")
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, sel := range experiments.SelLevels {
+	for _, sel := range paper.SelLevels {
 		sel := sel
 		b.Run("protein="+sel, func(b *testing.B) {
-			p1, err := experiments.PredFor(st.T1, sel)
+			p1, err := paper.PredFor(st.T1, sel)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -363,9 +361,9 @@ func BenchmarkTable3PathLen4(b *testing.B) {
 // BenchmarkVaryK measures Fast-Top-k-Opt for growing k (Section 6.2.4).
 func BenchmarkVaryK(b *testing.B) {
 	e := env(b)
-	st := e.Store(experiments.PairPI)
-	p1, _ := experiments.PredFor(st.T1, "medium")
-	p2, _ := experiments.PredFor(st.T2, "medium")
+	st := e.Store(paper.PairPI)
+	p1, _ := paper.PredFor(st.T1, "medium")
+	p2, _ := paper.PredFor(st.T2, "medium")
 	for _, k := range []int{1, 10, 50, 100} {
 		k := k
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
@@ -385,7 +383,7 @@ func BenchmarkVaryK(b *testing.B) {
 // "1-50 seconds depending on the frequency of the topology").
 func BenchmarkInstanceRetrieval(b *testing.B) {
 	e := env(b)
-	st := e.Store(experiments.PairPD)
+	st := e.Store(paper.PairPD)
 	pd := st.Res.Pair("Protein", "DNA")
 	ids, freqs := pd.FrequencyRank()
 	if len(ids) < 2 {
@@ -419,9 +417,9 @@ func BenchmarkInstanceRetrieval(b *testing.B) {
 // infinite (degenerating to Full-Top's table sizes).
 func BenchmarkAblationNoPruning(b *testing.B) {
 	e := env(b)
-	st := e.Store(experiments.PairPI)
-	p1, _ := experiments.PredFor(st.T1, "medium")
-	p2, _ := experiments.PredFor(st.T2, "medium")
+	st := e.Store(paper.PairPI)
+	p1, _ := paper.PredFor(st.T1, "medium")
+	p2, _ := paper.PredFor(st.T2, "medium")
 	q := methods.Query{Pred1: p1, Pred2: p2}
 	b.Run("pruned", func(b *testing.B) {
 		b.ReportAllocs()
@@ -446,9 +444,9 @@ func BenchmarkAblationNoPruning(b *testing.B) {
 // plans for one cell).
 func BenchmarkAblationHDGJvsIDGJ(b *testing.B) {
 	e := env(b)
-	st := e.Store(experiments.PairPI)
-	p1, _ := experiments.PredFor(st.T1, "unselective")
-	p2, _ := experiments.PredFor(st.T2, "unselective")
+	st := e.Store(paper.PairPI)
+	p1, _ := paper.PredFor(st.T1, "unselective")
+	p2, _ := paper.PredFor(st.T2, "unselective")
 	for _, hdgj := range []bool{false, true} {
 		hdgj := hdgj
 		name := "idgj"

@@ -4,48 +4,10 @@
 //
 // Usage:
 //
-//	benchtab -exp table1|table2|table3|fig8|fig11|fig12|varyk|instances|benchonline|benchet|benchshard|benchstorage|benchupdate|benchcache|benchchaos|benchobs|benchserve|all [flags]
+//	benchtab -exp table1|table2|table3|fig8|fig11|fig12|varyk|instances|all [flags]
 //
-// The benchonline experiment sweeps the online evaluation methods
-// across query worker counts and writes the measurements to
-// -benchout (default BENCH_online.json), so successive releases have a
-// query-latency trajectory to compare against. The benchet experiment
-// sweeps the early-termination methods across speculation widths on an
-// unselective query (few qualifying pairs, deep group-stream crawl),
-// verifies each speculative run byte-identical to the sequential one,
-// and writes -etout (default BENCH_et.json). The benchshard experiment
-// sweeps scatter-gather sharded execution across shard counts,
-// verifies each sharded run byte-identical to the single-store one,
-// measures the cost-weighted cut balance and the work the global
-// bound exchange prunes, and writes -shardout (default
-// BENCH_shard.json). The benchstorage
-// experiment measures the columnar storage engine (scan, probe, build,
-// Fast-Top) and the bytes-per-row footprint of the precomputed tables,
-// writing -storageout (default BENCH_storage.json). The benchupdate
-// experiment grows the database in live batches and records mutation
-// throughput plus incremental-Refresh latency against a full offline
-// rebuild (verifying the two stay byte-identical), writing -updateout
-// (default BENCH_update.json); it mutates the environment, so it runs
-// last. The benchcache experiment measures the searcher's
-// generation-tagged result cache — hit latency against the full
-// execution cost of a miss, and the hit ratio a mutating workload
-// sustains through frontier-scoped invalidation — verifying every
-// cached answer row-identical to a cache-off searcher, and writes
-// -cacheout (default BENCH_cache.json). The benchchaos experiment
-// quantifies the failure-containment layer — the per-hit price of a
-// fault-injection point, admission-control behavior under an overload
-// burst, and a fault-schedule survival run verified byte-identical to
-// a fresh rebuild — and writes -chaosout (default BENCH_chaos.json).
-// The benchobs experiment measures the telemetry layer — instrument
-// micro-costs and the disabled gate, end-to-end recording and tracing
-// overhead on the query mix (traced answers verified byte-identical to
-// untraced), and the /metrics scrape — and writes -obsout (default
-// BENCH_obs.json). The benchserve experiment boots a toposerve daemon
-// in-process and replays the recorded query mix over HTTP at fixed
-// target rates (open loop), reporting end-to-end latency percentiles
-// per rate plus the 429 shed count of an unpaced saturation burst, and
-// writes -serveout (default BENCH_serve.json). -metrics-addr serves
-// /metrics, /statsz and /debug/pprof while any experiment runs.
+// The system's performance is measured by the benchmark in bench/, not
+// here.
 package main
 
 import (
@@ -57,33 +19,22 @@ import (
 	"os/signal"
 	"time"
 
-	"toposearch"
 	"toposearch/internal/biozon"
 	"toposearch/internal/core"
-	"toposearch/internal/experiments"
+	"toposearch/internal/paper"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment to run")
-		scale    = flag.Int("scale", 2, "synthetic database scale")
-		seed     = flag.Int64("seed", 42, "generator seed")
-		k        = flag.Int("k", 10, "top-k for the query experiments")
-		reps     = flag.Int("reps", 3, "timing repetitions (fastest wins)")
-		thr      = flag.Int("prune", 6, "pruning threshold")
-		sql      = flag.Bool("sql", true, "include the SQL strawman in table2")
-		workers  = flag.Int("workers", 0, "worker count for the offline precomputation and online queries (0 = all cores)")
-		spec     = flag.Int("speculation", 0, "speculative ET width for table2 queries (0/1 = sequential; results identical)")
-		benchout = flag.String("benchout", "BENCH_online.json", "output file for -exp benchonline")
-		etout    = flag.String("etout", "BENCH_et.json", "output file for -exp benchet")
-		shardout = flag.String("shardout", "BENCH_shard.json", "output file for -exp benchshard")
-		storeout = flag.String("storageout", "BENCH_storage.json", "output file for -exp benchstorage")
-		updout   = flag.String("updateout", "BENCH_update.json", "output file for -exp benchupdate")
-		cacheout = flag.String("cacheout", "BENCH_cache.json", "output file for -exp benchcache")
-		serveout = flag.String("serveout", "BENCH_serve.json", "output file for -exp benchserve")
-		chaosout = flag.String("chaosout", "BENCH_chaos.json", "output file for -exp benchchaos")
-		obsout   = flag.String("obsout", "BENCH_obs.json", "output file for -exp benchobs")
-		metrics  = flag.String("metrics-addr", "", "serve /metrics, /statsz and /debug/pprof on this address while the experiments run")
+		exp     = flag.String("exp", "all", "experiment to run")
+		scale   = flag.Int("scale", 2, "synthetic database scale")
+		seed    = flag.Int64("seed", 42, "generator seed")
+		k       = flag.Int("k", 10, "top-k for the query experiments")
+		reps    = flag.Int("reps", 3, "timing repetitions (fastest wins)")
+		thr     = flag.Int("prune", 6, "pruning threshold")
+		sql     = flag.Bool("sql", true, "include the SQL strawman in table2")
+		workers = flag.Int("workers", 0, "worker count for the offline precomputation and online queries (0 = all cores)")
+		spec    = flag.Int("speculation", 0, "speculative ET width for table2 queries (0/1 = sequential; results identical)")
 	)
 	flag.Parse()
 
@@ -92,34 +43,6 @@ func main() {
 	defer stop()
 
 	need := func(name string) bool { return *exp == "all" || *exp == name }
-
-	if *metrics != "" {
-		srv, bound, err := toposearch.ServeMetrics(*metrics)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-		fmt.Printf("metrics: http://%s/metrics (pprof at /debug/pprof/)\n\n", bound)
-	}
-
-	// The observability benchmark toggles metrics recording itself and
-	// drives the public Searcher end to end, so it runs before the
-	// methods-level env is built (and never under -exp all's env).
-	if need("benchobs") {
-		fmt.Println("== Observability: instrument costs, recording overhead, trace equivalence, scrape ==")
-		rep, err := experiments.BenchObs(ctx, *scale, *seed, *reps)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintObsBench(os.Stdout, rep)
-		if err := experiments.WriteObsBench(rep, *obsout); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n\n", *obsout)
-		if *exp != "all" {
-			return
-		}
-	}
 
 	// Figure 8 needs no database.
 	if need("fig8") {
@@ -153,65 +76,9 @@ func main() {
 		}
 	}
 
-	// The chaos benchmark drives the public Searcher end to end under
-	// fault injection, so it builds its own database rather than using
-	// the methods-level env.
-	if need("benchchaos") {
-		fmt.Println("== Failure containment: injection overhead, overload shedding, chaos survival ==")
-		rep, err := experiments.BenchChaos(ctx, *scale, *seed, *reps)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintChaosBench(os.Stdout, rep)
-		if err := experiments.WriteChaosBench(rep, *chaosout); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n\n", *chaosout)
-		if *exp != "all" {
-			return
-		}
-	}
-
-	// The cache benchmark drives the public Searcher end to end, so it
-	// builds its own database rather than using the methods-level env.
-	if need("benchcache") {
-		fmt.Println("== Result cache: hit vs miss latency, hit ratio under mutation ==")
-		rep, err := experiments.BenchCache(ctx, *scale, *seed, *reps)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintCacheBench(os.Stdout, rep)
-		if err := experiments.WriteCacheBench(rep, *cacheout); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n\n", *cacheout)
-		if *exp != "all" {
-			return
-		}
-	}
-
-	// The serving benchmark boots a whole toposerve daemon in-process
-	// and measures end-to-end HTTP latency, so it too builds its own
-	// database rather than using the methods-level env.
-	if need("benchserve") {
-		fmt.Println("== Serving layer: open-loop HTTP load sweep, latency percentiles, 429 shedding ==")
-		rep, err := experiments.BenchServe(ctx, *scale, *seed, *reps)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintServeBench(os.Stdout, rep)
-		if err := experiments.WriteServeBench(rep, *serveout); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n\n", *serveout)
-		if *exp != "all" {
-			return
-		}
-	}
-
 	fmt.Printf("building environment (scale %d, seed %d, prune %d)...\n", *scale, *seed, *thr)
 	start := time.Now()
-	env, err := experiments.NewEnv(ctx, experiments.Setup{
+	env, err := paper.NewEnv(ctx, paper.Setup{
 		Scale: *scale, Seed: *seed, PruneThreshold: *thr, L: 3, MaxPathsPerClass: 64,
 		Parallelism: *workers,
 	})
@@ -223,115 +90,55 @@ func main() {
 
 	if need("table1") {
 		fmt.Println("== Table 1: space requirements (Full-Top vs Fast-Top) ==")
-		experiments.PrintTable1(os.Stdout, experiments.Table1(env))
+		paper.PrintTable1(os.Stdout, paper.Table1(env))
 		fmt.Println()
 	}
 	if need("fig11") {
 		fmt.Println("== Figure 11: distribution of topology frequency ==")
-		experiments.PrintFig11(os.Stdout, experiments.Fig11(env))
+		paper.PrintFig11(os.Stdout, paper.Fig11(env))
 		fmt.Println()
 	}
 	if need("fig12") {
 		fmt.Println("== Figure 12: top-10 most frequent Protein-DNA 3-topologies ==")
-		experiments.PrintFig12(os.Stdout, experiments.Fig12(env, 10))
+		paper.PrintFig12(os.Stdout, paper.Fig12(env, 10))
 		fmt.Println()
 	}
 	if need("table2") {
 		fmt.Println("== Table 2: query time (seconds) of all methods ==")
-		cells, err := experiments.Table2(env, experiments.Table2Options{
+		cells, err := paper.Table2(env, paper.Table2Options{
 			K: *k, Reps: *reps, IncludeSQL: *sql, Speculation: *spec,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		experiments.PrintTable2(os.Stdout, cells)
+		paper.PrintTable2(os.Stdout, cells)
 		fmt.Println()
 	}
 	if need("table3") {
 		fmt.Println("== Table 3: l=4 space overhead and Fast-Top-k-Opt time ==")
-		res, err := experiments.Table3(ctx, env, experiments.Table3Options{K: *k, Reps: *reps})
+		res, err := paper.Table3(ctx, env, paper.Table3Options{K: *k, Reps: *reps})
 		if err != nil {
 			log.Fatal(err)
 		}
-		experiments.PrintTable3(os.Stdout, res)
+		paper.PrintTable3(os.Stdout, res)
 		fmt.Println()
 	}
 	if need("varyk") {
 		fmt.Println("== Section 6.2.4: varying k (Fast-Top-k-Opt) ==")
-		cells, err := experiments.VaryK(env, []int{1, 10, 50, 100}, *reps)
+		cells, err := paper.VaryK(env, []int{1, 10, 50, 100}, *reps)
 		if err != nil {
 			log.Fatal(err)
 		}
-		experiments.PrintVaryK(os.Stdout, cells)
+		paper.PrintVaryK(os.Stdout, cells)
 		fmt.Println()
 	}
 	if need("instances") {
 		fmt.Println("== Section 6.2.4: instance retrieval cost by topology frequency ==")
-		cells, err := experiments.InstanceRetrieval(env, 8)
+		cells, err := paper.InstanceRetrieval(env, 8)
 		if err != nil {
 			log.Fatal(err)
 		}
-		experiments.PrintInstanceRetrieval(os.Stdout, cells)
+		paper.PrintInstanceRetrieval(os.Stdout, cells)
 		fmt.Println()
-	}
-	if need("benchonline") {
-		fmt.Println("== Online query execution across worker counts ==")
-		rep, err := experiments.BenchOnline(env, *k, *reps, []int{1, 2, 4, 8})
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintOnlineBench(os.Stdout, rep)
-		if err := experiments.WriteOnlineBench(rep, *benchout); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n\n", *benchout)
-	}
-	if need("benchet") {
-		fmt.Println("== Speculative early termination across speculation widths ==")
-		rep, err := experiments.BenchET(env, *k, *reps, []int{1, 2, 4, 8})
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintETBench(os.Stdout, rep)
-		if err := experiments.WriteETBench(rep, *etout); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n\n", *etout)
-	}
-	if need("benchshard") {
-		fmt.Println("== Scatter-gather sharded execution across shard counts ==")
-		rep, err := experiments.BenchShard(env, *k, *reps, []int{1, 2, 4, 8})
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintShardBench(os.Stdout, rep)
-		if err := experiments.WriteShardBench(rep, *shardout); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n\n", *shardout)
-	}
-	if need("benchstorage") {
-		fmt.Println("== Columnar storage engine: hot paths and table footprints ==")
-		rep, err := experiments.BenchStorage(env, *reps)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintStorageBench(os.Stdout, rep)
-		if err := experiments.WriteStorageBench(rep, *storeout); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n\n", *storeout)
-	}
-	if need("benchupdate") {
-		fmt.Println("== Live updates: apply throughput, incremental Refresh vs full rebuild ==")
-		rep, err := experiments.BenchUpdate(ctx, env, *reps, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintUpdateBench(os.Stdout, rep)
-		if err := experiments.WriteUpdateBench(rep, *updout); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n\n", *updout)
 	}
 }

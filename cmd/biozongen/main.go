@@ -10,7 +10,6 @@ import (
 
 	"toposearch/internal/biozon"
 	"toposearch/internal/graph"
-	"toposearch/internal/relstore"
 )
 
 func main() {
@@ -77,8 +76,8 @@ func main() {
 			continue
 		}
 		n := 0
-		prot.Scan(func(_ int32, r relstore.Row) bool {
-			if p.Eval(r) {
+		prot.ScanPos(func(pos int32) bool {
+			if p.EvalAt(prot, pos) {
 				n++
 			}
 			return true

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"toposearch/internal/graph"
-	"toposearch/internal/relstore"
 )
 
 func TestSchemaGraphTenPaths(t *testing.T) {
@@ -76,13 +75,13 @@ func TestGenerateCountsAndIDs(t *testing.T) {
 	}
 	prot := db.MustTable(TabProtein)
 	dna := db.MustTable(TabDNA)
-	enc.Scan(func(_ int32, r relstore.Row) bool {
-		if !prot.HasPK(r[1].Int) {
-			t.Errorf("encodes row references unknown protein %d", r[1].Int)
+	enc.ScanPos(func(pos int32) bool {
+		if p := enc.IntAt(pos, 1); !prot.HasPK(p) {
+			t.Errorf("encodes row references unknown protein %d", p)
 			return false
 		}
-		if !dna.HasPK(r[2].Int) {
-			t.Errorf("encodes row references unknown DNA %d", r[2].Int)
+		if d := enc.IntAt(pos, 2); !dna.HasPK(d) {
+			t.Errorf("encodes row references unknown DNA %d", d)
 			return false
 		}
 		return true
@@ -115,8 +114,8 @@ func TestGenerateSelectivities(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := 0
-		prot.Scan(func(_ int32, r relstore.Row) bool {
-			if p.Eval(r) {
+		prot.ScanPos(func(pos int32) bool {
+			if p.EvalAt(prot, pos) {
 				n++
 			}
 			return true
@@ -165,8 +164,8 @@ func TestGenerateZipfSkew(t *testing.T) {
 	db := Generate(DefaultConfig(2))
 	ue := db.MustTable(TabUniEncodes)
 	deg := map[int64]int{}
-	ue.Scan(func(_ int32, r relstore.Row) bool {
-		deg[r[1].Int]++
+	ue.ScanPos(func(pos int32) bool {
+		deg[ue.IntAt(pos, 1)]++
 		return true
 	})
 	var degs []int
@@ -201,17 +200,19 @@ func TestPlantedMotifs(t *testing.T) {
 	// common DNA (via encodes) and a common Interaction.
 	enc := db.MustTable(TabEncodes)
 	byDNA := map[int64][]int64{}
-	enc.Scan(func(_ int32, r relstore.Row) bool {
-		byDNA[r[2].Int] = append(byDNA[r[2].Int], r[1].Int)
+	enc.ScanPos(func(pos int32) bool {
+		d := enc.IntAt(pos, 2)
+		byDNA[d] = append(byDNA[d], enc.IntAt(pos, 1))
 		return true
 	})
 	pin := db.MustTable(TabPInteract)
 	byProt := map[int64]map[int64]bool{}
-	pin.Scan(func(_ int32, r relstore.Row) bool {
-		if byProt[r[1].Int] == nil {
-			byProt[r[1].Int] = map[int64]bool{}
+	pin.ScanPos(func(pos int32) bool {
+		p := pin.IntAt(pos, 1)
+		if byProt[p] == nil {
+			byProt[p] = map[int64]bool{}
 		}
-		byProt[r[1].Int][r[2].Int] = true
+		byProt[p][pin.IntAt(pos, 2)] = true
 		return true
 	})
 	found := false

@@ -565,8 +565,8 @@ func TestDistinctAndAntiJoinPairKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := 0
-	lt.Scan(func(_ int32, r relstore.Row) bool {
-		if !(r[0].Int == 2 && r[1].Int == 11) {
+	lt.ScanPos(func(pos int32) bool {
+		if !(lt.IntAt(pos, 0) == 2 && lt.IntAt(pos, 1) == 11) {
 			want++
 		}
 		return true

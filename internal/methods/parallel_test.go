@@ -152,7 +152,7 @@ func TestConcurrentQueriesSharedStore(t *testing.T) {
 }
 
 // TestConcurrentStoreBuildsSharedDB builds stores for several pairs
-// concurrently against one database and graph — the experiments.NewEnv
+// concurrently against one database and graph — the paper.NewEnv
 // pattern — and checks each store still answers correctly.
 func TestConcurrentStoreBuildsSharedDB(t *testing.T) {
 	db := biozon.Generate(biozon.DefaultConfig(1))

@@ -1,11 +1,11 @@
-// Package experiments drives the reproduction of every table and
+// Package paper drives the reproduction of every table and
 // figure in the paper's evaluation (Section 6): Table 1 (space
 // requirements), Table 2 (query performance of all nine methods across
 // predicate selectivities and ranking schemes), Table 3 (path length
 // l=4), Figure 11 (Zipfian topology-frequency distributions), Figure 12
 // (the most frequent Protein-DNA topologies), the vary-k experiment and
 // the instance-retrieval cost experiment of Section 6.2.4.
-package experiments
+package paper
 
 import (
 	"context"
@@ -40,11 +40,6 @@ type Setup struct {
 	// and, by inheritance through each store's options, for online
 	// queries that leave Query.Parallelism at 0 (0 = GOMAXPROCS).
 	Parallelism int
-}
-
-// DefaultSetup returns the environment used by the benchmark harness.
-func DefaultSetup() Setup {
-	return Setup{Scale: 2, Seed: 42, PruneThreshold: 6, L: 3, MaxPathsPerClass: 64}
 }
 
 // Pairs used across the experiments (Table 1 lists five pairs; Figure
@@ -128,7 +123,7 @@ func NewEnv(ctx context.Context, s Setup) (*Env, error) {
 	wg.Wait()
 	for i, pair := range pairs {
 		if errs[i] != nil {
-			return nil, fmt.Errorf("experiments: building store %v: %w", pair, errs[i])
+			return nil, fmt.Errorf("paper: building store %v: %w", pair, errs[i])
 		}
 		// The throttled per-build worker count was an offline budget
 		// split; queries on the finished store should default to the

@@ -1,4 +1,4 @@
-package experiments
+package paper
 
 import (
 	"fmt"
@@ -79,7 +79,7 @@ func InstanceRetrieval(env *Env, topologies int) ([]InstanceCell, error) {
 	pd := st.Res.Pair(PairPD[0], PairPD[1])
 	ids, freqs := pd.FrequencyRank()
 	if len(ids) == 0 {
-		return nil, fmt.Errorf("experiments: no topologies for PD")
+		return nil, fmt.Errorf("paper: no topologies for PD")
 	}
 	// Sample across the frequency range: take evenly spaced ranks.
 	var picks []int

@@ -1,4 +1,4 @@
-package experiments
+package paper
 
 import (
 	"bytes"
@@ -148,12 +148,37 @@ func TestTable2GridAgreesAcrossMethods(t *testing.T) {
 	if !strings.Contains(buf.String(), "protein=selective") {
 		t.Error("PrintTable2 missing block header")
 	}
+
+	// The paper's early-termination ordering, on work (rows scanned +
+	// index probes), which is identical at any parallelism and on any
+	// host. Summed over the grid, each ET method does no more work than
+	// its non-ET top-k counterpart. Per cell it can do more: ET pays off
+	// only on unselective predicates, and on the selective cells it
+	// loses (e.g. 1,620 vs 1,341 at scale 1), as the paper predicts.
+	// Fast vs Full is deliberately not pinned: Fast-Top trades
+	// per-query existence checks for the Table 1 space saving, so it
+	// does more work (613,368 vs 102,177 over the grid at scale 1);
+	// TestTable1ShowsSpaceReduction pins the space side.
+	work := map[string]int64{}
+	for _, c := range cells {
+		work[c.Method] += c.Work
+	}
+	for _, p := range [][2]string{
+		{methods.MethodFullTopKET, methods.MethodFullTopK},
+		{methods.MethodFastTopKET, methods.MethodFastTopK},
+	} {
+		if work[p[0]] > work[p[1]] {
+			t.Errorf("grid work: %s %d > %s %d", p[0], work[p[0]], p[1], work[p[1]])
+		}
+	}
 }
 
 func TestTable2Shapes(t *testing.T) {
 	// One selective/selective cell with the SQL strawman included: the
-	// headline shape is that SQL is at least an order of magnitude
-	// slower than Full-Top (the full grid is exercised by the harness).
+	// headline shape is that the strawman does at least two orders of
+	// magnitude more work than Full-Top (676,928 vs 1,341 at scale 1).
+	// Work counts rather than wall-clock keep the check immune to host
+	// load.
 	env := smallEnv(t)
 	st := env.Store(PairPI)
 	p1, err := PredFor(st.T1, "selective")
@@ -165,22 +190,16 @@ func TestTable2Shapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := methods.Query{Pred1: p1, Pred2: p2}
-	sqlSec, err := Measure(1, func() error {
-		_, runErr := st.SQLMethod(q)
-		return runErr
-	})
+	sql, err := st.SQLMethod(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullSec, err := Measure(1, func() error {
-		_, runErr := st.FullTop(q)
-		return runErr
-	})
+	full, err := st.FullTop(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sqlSec < 10*fullSec {
-		t.Errorf("SQL %.4fs vs Full-Top %.4fs: strawman not slow enough", sqlSec, fullSec)
+	if sw, fw := sql.Counters.Work(), full.Counters.Work(); sw < 100*fw {
+		t.Errorf("SQL work %d vs Full-Top %d: strawman not slow enough", sw, fw)
 	}
 }
 

@@ -1,4 +1,4 @@
-package experiments
+package paper
 
 import (
 	"fmt"

@@ -1,4 +1,4 @@
-package experiments
+package paper
 
 import (
 	"fmt"
@@ -27,8 +27,6 @@ type Table2Options struct {
 	K          int
 	Reps       int
 	IncludeSQL bool
-	// Methods restricts the run (nil = all nine).
-	Methods []string
 	// Speculation is the speculative ET width applied to every query
 	// (the ET and Opt methods use it; results are identical at any
 	// setting, only latency moves).
@@ -47,10 +45,6 @@ func Table2(env *Env, opts Table2Options) ([]Table2Cell, error) {
 	if opts.Reps == 0 {
 		opts.Reps = 3
 	}
-	ms := opts.Methods
-	if ms == nil {
-		ms = methods.AllMethods()
-	}
 	st := env.Store(PairPI)
 	var cells []Table2Cell
 	for _, sel1 := range SelLevels {
@@ -63,7 +57,7 @@ func Table2(env *Env, opts Table2Options) ([]Table2Cell, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, m := range ms {
+			for _, m := range methods.AllMethods() {
 				if m == methods.MethodSQL && !opts.IncludeSQL {
 					continue
 				}
@@ -93,7 +87,7 @@ func Table2(env *Env, opts Table2Options) ([]Table2Cell, error) {
 					cell := Table2Cell{
 						Method: m, Sel1: sel1, Sel2: sel2, Ranking: rk,
 						Seconds: sec, Results: len(res.Items),
-						Work:     res.Counters.IndexProbes + res.Counters.RowsScanned,
+						Work:     res.Counters.Work(),
 						PlanKind: res.Plan.String(),
 					}
 					cells = append(cells, cell)

@@ -1,4 +1,4 @@
-package experiments
+package paper
 
 import (
 	"context"
@@ -97,7 +97,7 @@ func Table3(ctx context.Context, env *Env, opts Table3Options) (*Table3Result, e
 				res.Cells = append(res.Cells, Table2Cell{
 					Method: methods.MethodFastTopOpt, Sel1: sel1, Sel2: sel2,
 					Ranking: rk, Seconds: sec, Results: len(qres.Items),
-					Work:     qres.Counters.IndexProbes + qres.Counters.RowsScanned,
+					Work:     qres.Counters.Work(),
 					PlanKind: qres.Plan.String(),
 				})
 			}

@@ -7,12 +7,10 @@ import (
 )
 
 // Storage-engine benchmarks (run with -benchmem; CI runs them once per
-// push and cmd/benchtab -exp benchstorage records the same quantities
-// in BENCH_storage.json). BenchmarkScan/rowstore replays the pre-
-// columnar access pattern — one materialized []Value row per visited
-// tuple — against the columnar engine's positional path, so the
-// allocs/op reduction of the columnar layout stays visible release
-// over release.
+// push). BenchmarkScan/rowstore replays the pre-columnar access pattern
+// — one materialized []Value row per visited tuple — against the
+// columnar engine's positional path, so the allocs/op reduction of the
+// columnar layout stays visible release over release.
 
 const benchRows = 20000
 
@@ -36,9 +34,9 @@ func benchTable(b *testing.B) *Table {
 }
 
 // BenchmarkScan measures a predicate scan of the desc column: the
-// columnar positional path (EvalAt, no materialization), the reusable-
-// buffer Scan shim, and the row-store pattern of materializing every
-// tuple.
+// columnar positional path (EvalAt, no materialization), materializing
+// into one reusable buffer (AppendRow), and the row-store pattern of
+// materializing every tuple.
 func BenchmarkScan(b *testing.B) {
 	t := benchTable(b)
 	pred := MustContains(t.Schema, "desc", "enzyme")
@@ -61,8 +59,10 @@ func BenchmarkScan(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			n := 0
-			t.Scan(func(pos int32, r Row) bool {
-				if pred.Eval(r) {
+			var buf Row
+			t.ScanPos(func(pos int32) bool {
+				buf = t.AppendRow(buf[:0], pos)
+				if pred.Eval(buf) {
 					n++
 				}
 				return true

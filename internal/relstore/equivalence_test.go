@@ -148,8 +148,10 @@ func genPair(seed int64, n int) (*Table, *refTable) {
 func TestEquivalenceScan(t *testing.T) {
 	tab, ref := genPair(1, 500)
 	var got, want []string
-	tab.Scan(func(pos int32, r Row) bool {
-		got = append(got, fmt.Sprintf("%d:%v", pos, r))
+	var buf Row
+	tab.ScanPos(func(pos int32) bool {
+		buf = tab.AppendRow(buf[:0], pos)
+		got = append(got, fmt.Sprintf("%d:%v", pos, buf))
 		return true
 	})
 	for pos, r := range ref.rows {
@@ -158,7 +160,7 @@ func TestEquivalenceScan(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("Scan diverges from the row store")
 	}
-	// Cell accessors and the materializing shims agree with the rows.
+	// Cell accessors and row materialization agree with the rows.
 	for pos, r := range ref.rows {
 		p := int32(pos)
 		if tab.IntAt(p, 0) != r[0].Int || tab.IntAt(p, 1) != r[1].Int || tab.StrAt(p, 2) != r[2].Str {
@@ -231,9 +233,8 @@ func TestEquivalenceLookup(t *testing.T) {
 		if ok != (len(want) == 1) || (ok && pos != want[0]) {
 			t.Fatalf("PKPos(%d) = %d,%v, want %v", id, pos, ok, want)
 		}
-		row, ok := tab.LookupPK(id)
-		if ok != (len(want) == 1) || (ok && !reflect.DeepEqual(row, ref.rows[want[0]])) {
-			t.Fatalf("LookupPK(%d) diverges", id)
+		if ok && !reflect.DeepEqual(tab.Row(pos), ref.rows[want[0]]) {
+			t.Fatalf("Row(PKPos(%d)) diverges", id)
 		}
 	}
 }
@@ -450,12 +451,14 @@ func TestEquivalenceConcurrentReaderHammer(t *testing.T) {
 				if !reflect.DeepEqual(got, wantDesc) {
 					t.Errorf("reader %d: ordered scan diverges under race", w)
 				}
-			case 3: // stats and materializing shims
+			case 3: // stats and row materialization
 				st := tab.Stats()
 				if st.Rows != len(ref.rows) {
 					t.Errorf("reader %d: stats rows = %d", w, st.Rows)
 				}
-				tab.Scan(func(pos int32, r Row) bool {
+				var r Row
+				tab.ScanPos(func(pos int32) bool {
+					r = tab.AppendRow(r[:0], pos)
 					return r[0].Int == ref.rows[pos][0].Int
 				})
 			}

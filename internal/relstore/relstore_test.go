@@ -108,12 +108,12 @@ func TestTableInsertAndPK(t *testing.T) {
 	if err := tab.Insert(Row{StrVal("x"), StrVal("y")}); err == nil {
 		t.Error("mistyped row accepted")
 	}
-	r, ok := tab.LookupPK(32)
-	if !ok || r[1].Str != "ubiquitin conjugating enzyme" {
-		t.Errorf("LookupPK(32) = %v,%v", r, ok)
+	pos, ok := tab.PKPos(32)
+	if !ok || tab.Row(pos)[1].Str != "ubiquitin conjugating enzyme" {
+		t.Errorf("PKPos(32) = %v,%v", pos, ok)
 	}
-	if _, ok := tab.LookupPK(99); ok {
-		t.Error("LookupPK found phantom row")
+	if _, ok := tab.PKPos(99); ok {
+		t.Error("PKPos found phantom row")
 	}
 	if !tab.HasPK(32) || tab.HasPK(99) {
 		t.Error("HasPK wrong")
@@ -289,7 +289,9 @@ func TestPredicates(t *testing.T) {
 	}
 
 	var hits []int64
-	tab.Scan(func(_ int32, r Row) bool {
+	var r Row
+	tab.ScanPos(func(pos int32) bool {
+		r = tab.AppendRow(r[:0], pos)
 		if enzyme.Eval(r) {
 			hits = append(hits, r[0].Int)
 		}
@@ -447,7 +449,7 @@ func TestScanEarlyStop(t *testing.T) {
 		tab.MustInsert(IntVal(int64(i)), StrVal("x"))
 	}
 	n := 0
-	tab.Scan(func(int32, Row) bool { n++; return n < 3 })
+	tab.ScanPos(func(int32) bool { n++; return n < 3 })
 	if n != 3 {
 		t.Errorf("scan visited %d rows, want 3", n)
 	}

@@ -290,9 +290,9 @@ func (ix *pkIndex) len() int {
 // Storage is columnar and versioned: each column is a sealed typed
 // array ([]int64 for TInt, dictionary codes for TString) plus a delta
 // append buffer, published together as immutable snapshots. Scans walk
-// contiguous memory and a tuple is materialized into a Row only at the
-// compatibility shims (Row, LookupPK, Scan). Hot paths read cells
-// through IntAt/StrAt or the Col views and allocate nothing per row.
+// contiguous memory and a tuple is materialized into a Row only by
+// AppendRow (or Row). Hot paths read cells through IntAt/StrAt or the
+// Col views and allocate nothing per row.
 //
 // Concurrency contract (the live-update model):
 //
@@ -455,10 +455,9 @@ func (t *Table) AppendRow(dst Row, pos int32) Row {
 	return t.appendRowState(t.loadState(), dst, pos)
 }
 
-// Row materializes the row stored at position pos. It is a
-// compatibility shim over the columnar layout: each call allocates a
-// fresh Row; position-addressed readers should prefer IntAt/StrAt,
-// Col views, or AppendRow with a reusable buffer.
+// Row materializes the row stored at position pos into a fresh Row.
+// Position-addressed readers should prefer IntAt/StrAt, Col views, or
+// AppendRow with a reusable buffer.
 func (t *Table) Row(pos int32) Row {
 	return t.AppendRow(make(Row, 0, len(t.Schema.Cols)), pos)
 }
@@ -711,22 +710,12 @@ func (t *Table) compareValueAt(c int, pos int32, v Value) int {
 }
 
 // PKPos returns the row position of the row with the given primary-key
-// value — the allocation-free LookupPK.
+// value.
 func (t *Table) PKPos(id int64) (int32, bool) {
 	if t.pk == nil {
 		return 0, false
 	}
 	return t.pk.get(id)
-}
-
-// LookupPK returns (materializing) the row with the given primary-key
-// value. Hot paths should use PKPos with IntAt/StrAt or EvalAt instead.
-func (t *Table) LookupPK(id int64) (Row, bool) {
-	pos, ok := t.PKPos(id)
-	if !ok {
-		return nil, false
-	}
-	return t.Row(pos), true
 }
 
 // HasPK reports whether a row with the given primary key exists.
@@ -875,22 +864,6 @@ func (t *Table) Lookup(col string, v Value) ([]int32, error) {
 		}
 	}
 	return out, nil
-}
-
-// Scan visits every row in insertion order until visit returns false.
-// The Row passed to visit is a single buffer reused across calls: it is
-// valid only during the visit and must be cloned to be retained. The
-// scan covers the rows present when it started (a snapshot).
-// Position-only readers should prefer ScanPos with IntAt/StrAt.
-func (t *Table) Scan(visit func(pos int32, r Row) bool) {
-	st := t.loadState()
-	buf := make(Row, 0, len(t.Schema.Cols))
-	for pos := int32(0); pos < st.nrows; pos++ {
-		buf = t.appendRowState(st, buf[:0], pos)
-		if !visit(pos, buf) {
-			return
-		}
-	}
 }
 
 // ScanPos visits every row position in insertion order until visit

@@ -55,7 +55,9 @@ func dumpLiveTable(t *relstore.Table) string {
 	var sb strings.Builder
 	sb.WriteString(t.Schema.String())
 	sb.WriteByte('\n')
-	t.Scan(func(pos int32, r relstore.Row) bool {
+	var r relstore.Row
+	t.ScanPos(func(pos int32) bool {
+		r = t.AppendRow(r[:0], pos)
 		fmt.Fprintf(&sb, "%v\n", r)
 		return true
 	})

@@ -33,8 +33,7 @@ func MetricsEnabled() bool { return obs.Enabled() }
 // MetricsMux returns an http mux serving the engine's observability
 // endpoints: /metrics (Prometheus text format v0.0.4), /statsz (JSON
 // snapshot) and /debug/pprof/* (CPU, heap, goroutine, ... profiles).
-// Mount it in a daemon, or let topsearch/benchtab serve it via
-// -metrics-addr.
+// Mount it in a daemon, or let topsearch serve it via -metrics-addr.
 func MetricsMux() *http.ServeMux { return obs.Default().Mux() }
 
 // ServeMetrics listens on addr (e.g. ":9090", "127.0.0.1:0") and serves
