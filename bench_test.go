@@ -223,11 +223,9 @@ func BenchmarkFastTop(b *testing.B) {
 }
 
 // BenchmarkETTop measures the early-termination method (Fast-Top-k-ET)
-// across worker counts and speculation widths. Its DGJ stack does not
-// shard across plain workers (early termination is a serial decision)
-// — latency should NOT vary with workers — but it does race
-// speculative segment workers, so the speculation dimension is in the
-// perf trajectory too.
+// across worker counts. Its DGJ stack is sequential by design (early
+// termination is a serial decision), so only the pruned-topology merge
+// uses the workers.
 func BenchmarkETTop(b *testing.B) {
 	e := env(b)
 	st := e.Store(paper.PairPI)
@@ -244,19 +242,6 @@ func BenchmarkETTop(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			q := methods.Query{Pred1: p1, Pred2: p2, K: 10,
 				Ranking: ranking.Domain, Parallelism: w}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := st.FastTopKET(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	for _, s := range []int{2, 8} {
-		s := s
-		b.Run(fmt.Sprintf("speculation=%d", s), func(b *testing.B) {
-			q := methods.Query{Pred1: p1, Pred2: p2, K: 10,
-				Ranking: ranking.Domain, Speculation: s}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := st.FastTopKET(q); err != nil {

@@ -39,17 +39,16 @@ func chaosTyped(err error) bool {
 func chaosConfig(par int) toposearch.SearcherConfig {
 	return toposearch.SearcherConfig{
 		MaxLen: 3, PruneThreshold: 8, MaxCombinations: 2048,
-		Parallelism: par, Speculation: 2, Shards: 2,
+		Parallelism: par,
 	}
 }
 
 // TestChaosHammer is the chaos gate of the failure-containment layer:
 // with every injection point armed — errors everywhere, panics inside
-// segment racers, shard executors, offline workers, cache fills and
-// batch application, plus latency on the bound exchange — concurrent
-// searches, batch mutations, refreshes and compactions hammer one
-// searcher across the {1,2,4}^3 parallelism x speculation x shards
-// grid. The invariants: no panic escapes (the test process survives),
+// the ET drain, scan window workers, offline workers, cache fills and
+// batch application — concurrent searches, batch mutations, refreshes
+// and compactions hammer one searcher at parallelism 1, 2 and 4. The
+// invariants: no panic escapes (the test process survives),
 // every surfaced error is typed, no goroutine leaks, and after the
 // chaos stops the searcher's answers are byte-identical to a fresh
 // from-scratch rebuild on the final database state.
@@ -82,25 +81,18 @@ func chaosHammer(t *testing.T, par int) {
 	seed := *chaosSeedFlag*1000 + int64(par)
 	if err := fault.Enable(seed,
 		fault.Rule{Point: "*", Prob: 0.03},
-		fault.Rule{Point: "engine.segment", Prob: 0.02, Panic: true},
+		fault.Rule{Point: "methods.et", Prob: 0.02, Panic: true},
 		fault.Rule{Point: "shard.executor", Prob: 0.02, Panic: true},
 		fault.Rule{Point: "core.start", Prob: 0.005, Panic: true},
 		fault.Rule{Point: "cache.fill", Prob: 0.05, Panic: true},
 		fault.Rule{Point: "delta.apply", Prob: 0.05, Panic: true},
 		fault.Rule{Point: "relstore.compact.mid", Prob: 0.5, Panic: true},
-		fault.Rule{Point: "shard.exchange", Prob: 0.02, Delay: time.Millisecond, DelayOnly: true},
 	); err != nil {
 		t.Fatal(err)
 	}
 
-	// The query mix: every speculation x shards combination of the grid,
-	// cycled through by each worker, over join, top-k and ET plans.
-	var settings [][2]int
-	for _, sp := range []int{1, 2, 4} {
-		for _, sh := range []int{1, 2, 4} {
-			settings = append(settings, [2]int{sp, sh})
-		}
-	}
+	// The query mix, cycled through by each worker: join, top-k and ET
+	// plans.
 	bases := []toposearch.SearchQuery{
 		{Method: "fast-top", Cons1: []toposearch.Constraint{{Column: "desc", Keyword: "kwsel50"}}},
 		{K: 5, Method: "fast-top-k-et"},
@@ -122,8 +114,6 @@ func chaosHammer(t *testing.T, par int) {
 				default:
 				}
 				q := bases[(w+i)%len(bases)]
-				set := settings[(w*7+i)%len(settings)]
-				q.Speculation, q.Shards = set[0], set[1]
 				if i%5 == 4 {
 					// Every fifth query runs deadline-bounded with partial
 					// results permitted: under injected latency these must
@@ -199,7 +189,7 @@ func chaosHammer(t *testing.T, par int) {
 	fault.Disable()
 
 	// Post-chaos gate: with faults off, one final refresh must succeed,
-	// and every grid setting must answer byte-identically to a fresh
+	// and every query must answer byte-identically to a fresh
 	// from-scratch searcher on the final database state.
 	if _, err := s.RefreshContext(ctx); err != nil {
 		t.Fatalf("post-chaos refresh: %v", err)
@@ -217,17 +207,13 @@ func chaosHammer(t *testing.T, par int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, set := range settings {
-			q := base
-			q.Speculation, q.Shards = set[0], set[1]
-			got, err := s.SearchContext(ctx, q)
-			if err != nil {
-				t.Fatalf("post-chaos %s spec=%d shards=%d: %v", base.Method, set[0], set[1], err)
-			}
-			if fmt.Sprint(got.Topologies) != fmt.Sprint(want.Topologies) {
-				t.Fatalf("post-chaos %s spec=%d shards=%d diverges from fresh rebuild:\n got %v\nwant %v",
-					base.Method, set[0], set[1], got.Topologies, want.Topologies)
-			}
+		got, err := s.SearchContext(ctx, base)
+		if err != nil {
+			t.Fatalf("post-chaos %s: %v", base.Method, err)
+		}
+		if fmt.Sprint(got.Topologies) != fmt.Sprint(want.Topologies) {
+			t.Fatalf("post-chaos %s diverges from fresh rebuild:\n got %v\nwant %v",
+				base.Method, got.Topologies, want.Topologies)
 		}
 	}
 	st := s.Stats()
@@ -439,7 +425,7 @@ func TestChaosCompactContainment(t *testing.T) {
 	}
 	fault.Disable()
 
-	mid, err := s.SearchContext(ctx, toposearch.SearchQuery{K: 5, Method: "fast-top-k", Speculation: 1, Shards: 1})
+	mid, err := s.SearchContext(ctx, q)
 	if err != nil {
 		t.Fatalf("search after contained mid-compaction panic: %v", err)
 	}
@@ -449,7 +435,7 @@ func TestChaosCompactContainment(t *testing.T) {
 	if err := db.Compact(); err != nil {
 		t.Fatalf("clean compaction after contained panic: %v", err)
 	}
-	after, err := s.SearchContext(ctx, toposearch.SearchQuery{K: 5, Method: "fast-top-k", Shards: 4})
+	after, err := s.SearchContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +466,7 @@ func TestChaosAdmissionControl(t *testing.T) {
 	defer s.Close()
 	t.Cleanup(fault.Disable)
 
-	// Every shard executor sleeps: queries hold their admission slot
+	// Every scan window worker sleeps: queries hold their admission slot
 	// long enough that concurrent arrivals overflow the queue.
 	if err := fault.Enable(*chaosSeedFlag,
 		fault.Rule{Point: "shard.executor", Delay: 150 * time.Millisecond, DelayOnly: true}); err != nil {
@@ -599,7 +585,7 @@ func TestChaosAdmissionControl(t *testing.T) {
 
 // TestChaosDeadlinePartial proves the deadline-budget contract: with
 // PartialOK a deadline cut ships a ranked prefix (err == nil,
-// Partial set, incomplete shards reported), without it the query fails
+// Partial set), without it the query fails
 // with context.DeadlineExceeded — and partial answers never enter the
 // result cache.
 func TestChaosDeadlinePartial(t *testing.T) {
@@ -621,7 +607,7 @@ func TestChaosDeadlinePartial(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	q := toposearch.SearchQuery{Method: "full-top", Shards: 2, Deadline: 30 * time.Millisecond, PartialOK: true}
+	q := toposearch.SearchQuery{Method: "full-top", Deadline: 30 * time.Millisecond, PartialOK: true}
 	res, err := s.SearchContext(ctx, q)
 	if err != nil {
 		t.Fatalf("deadline-bounded PartialOK query failed: %v", err)
@@ -632,21 +618,12 @@ func TestChaosDeadlinePartial(t *testing.T) {
 	if res.CacheHit {
 		t.Fatal("partial result claimed a cache hit")
 	}
-	incomplete := 0
-	for _, st := range res.ShardStats {
-		if !st.Complete {
-			incomplete++
-		}
-	}
-	if len(res.ShardStats) > 0 && incomplete == 0 {
-		t.Fatal("partial result reported every shard complete")
-	}
 	if s.Stats().Partials == 0 {
 		t.Fatal("partial result not counted in SearcherStats.Partials")
 	}
 
 	// Same deadline without PartialOK: a typed failure, not a partial.
-	hard := toposearch.SearchQuery{Method: "full-top", Shards: 2, Deadline: 30 * time.Millisecond}
+	hard := toposearch.SearchQuery{Method: "full-top", Deadline: 30 * time.Millisecond}
 	if _, err := s.SearchContext(ctx, hard); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline-bounded query without PartialOK: got %v, want DeadlineExceeded", err)
 	}
@@ -655,7 +632,7 @@ func TestChaosDeadlinePartial(t *testing.T) {
 
 	// The partial run must not have poisoned the cache: the same query
 	// shape without a deadline computes the full answer.
-	full, err := s.SearchContext(ctx, toposearch.SearchQuery{Method: "full-top", Shards: 2})
+	full, err := s.SearchContext(ctx, toposearch.SearchQuery{Method: "full-top"})
 	if err != nil {
 		t.Fatal(err)
 	}

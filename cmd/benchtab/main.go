@@ -34,7 +34,6 @@ func main() {
 		thr     = flag.Int("prune", 6, "pruning threshold")
 		sql     = flag.Bool("sql", true, "include the SQL strawman in table2")
 		workers = flag.Int("workers", 0, "worker count for the offline precomputation and online queries (0 = all cores)")
-		spec    = flag.Int("speculation", 0, "speculative ET width for table2 queries (0/1 = sequential; results identical)")
 	)
 	flag.Parse()
 
@@ -106,7 +105,7 @@ func main() {
 	if need("table2") {
 		fmt.Println("== Table 2: query time (seconds) of all methods ==")
 		cells, err := paper.Table2(env, paper.Table2Options{
-			K: *k, Reps: *reps, IncludeSQL: *sql, Speculation: *spec,
+			K: *k, Reps: *reps, IncludeSQL: *sql,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -13,8 +13,6 @@
 //	-es1/-es2        default entity-set pair (prewarmed at startup)
 //	-l/-prune        path-length bound / pruning threshold
 //	-workers         worker count for precomputation and queries
-//	-speculation     speculative ET width
-//	-shards          scatter-gather shard count
 //	-cachebytes      result-cache memory bound
 //	-max-inflight    admission: concurrent queries per searcher
 //	-max-queue       admission: bounded wait queue per searcher
@@ -56,8 +54,6 @@ func main() {
 		l        = flag.Int("l", 3, "path length bound")
 		prune    = flag.Int("prune", 8, "pruning threshold (-1 disables)")
 		workers  = flag.Int("workers", 0, "worker count (0 = all cores)")
-		spec     = flag.Int("speculation", 0, "speculative ET width")
-		shards   = flag.Int("shards", 0, "scatter-gather shard count")
 		cacheB   = flag.Int64("cachebytes", 0, "result-cache bound in bytes (0 = 64 MiB default, negative disables)")
 		maxInfl  = flag.Int("max-inflight", 16, "admission: concurrent queries per searcher (0 = unbounded)")
 		maxQueue = flag.Int("max-queue", 64, "admission: bounded wait queue per searcher")
@@ -92,8 +88,7 @@ func main() {
 		DB: db,
 		Searcher: toposearch.SearcherConfig{
 			MaxLen: *l, PruneThreshold: *prune, MaxCombinations: 4096,
-			Parallelism: *workers, Speculation: *spec, Shards: *shards,
-			CacheBytes:  *cacheB,
+			Parallelism: *workers, CacheBytes: *cacheB,
 			MaxInflight: *maxInfl, MaxQueue: *maxQueue, QueueTimeout: *queueTO,
 		},
 		DefaultES1: *es1, DefaultES2: *es2,

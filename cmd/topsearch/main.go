@@ -18,8 +18,6 @@
 //	-explain         print the optimizer's plan choice
 //	-instances       print up to N instance pairs per topology
 //	-workers         worker count for precomputation and queries (0 = all cores)
-//	-speculation     speculative ET width (0/1 = sequential; results identical)
-//	-shards          scatter-gather shard count (0/1 = single store; results identical)
 //	-apply           replay a JSONL mutation batch, then Refresh incrementally
 //	-repeat          run the query N times, timing each (shows result-cache hits)
 //	-cachebytes      result-cache memory bound (0 = 64 MiB default, negative disables)
@@ -84,8 +82,6 @@ func main() {
 		instN   = flag.Int("instances", 2, "instance pairs to print per topology")
 		weak    = flag.Bool("weak-pruning", false, "apply Appendix B weak-relationship rules")
 		workers = flag.Int("workers", 0, "worker count for the offline precomputation and online queries (0 = all cores)")
-		spec    = flag.Int("speculation", 0, "speculative ET width: race this many segment workers over the group stream (0/1 = sequential; results identical)")
-		shards  = flag.Int("shards", 0, "scatter-gather shard count: partition the search across this many cost-weighted shard executors with global bound exchange (0/1 = single store; results identical)")
 		apply   = flag.String("apply", "", "JSONL mutation batch to apply and Refresh before querying")
 		repeat  = flag.Int("repeat", 1, "run the query this many times, timing each (repeats hit the result cache)")
 		cacheB  = flag.Int64("cachebytes", 0, "result-cache memory bound in bytes (0 = 64 MiB default, negative disables)")
@@ -132,8 +128,6 @@ func main() {
 		MaxCombinations: 4096,
 		WeakPruning:     *weak,
 		Parallelism:     *workers,
-		Speculation:     *spec,
-		Shards:          *shards,
 		CacheBytes:      *cacheB,
 	}
 	s, err := db.NewSearcherContext(ctx, *es1, *es2, cfg)
@@ -162,9 +156,6 @@ func main() {
 		db.Compact()
 		fmt.Printf("applied %d mutations in %v; incremental refresh of %d new relationships in %v\n",
 			len(ups), applySec.Round(time.Microsecond), edges, refreshSec.Round(time.Microsecond))
-		if routing := s.ShardRouting(); len(routing) > 0 {
-			fmt.Printf("delta routing (affected starts per shard): %v\n", routing)
-		}
 		fmt.Printf("database now: %d entities, %d relationships; %d topologies (%d pruned)\n\n",
 			db.NumEntities(), db.NumRelationships(), s.TopologyCount(), s.PrunedCount())
 	}
@@ -223,22 +214,7 @@ func main() {
 	if res.Plan != "" {
 		fmt.Printf(", plan %s", res.Plan)
 	}
-	if res.Speculation > 1 {
-		fmt.Printf(", speculation %d, wasted work %d", res.Speculation, res.WastedWork)
-	}
-	if res.Shards > 1 {
-		fmt.Printf(", shards %d", res.Shards)
-	}
 	fmt.Println("):")
-	if res.Shards > 1 {
-		for _, st := range res.ShardStats {
-			status := "complete"
-			if st.Pruned {
-				status = "pruned by bound exchange"
-			}
-			fmt.Printf("  shard %d: work=%d results=%d (%s)\n", st.Shard, st.Work, st.Witnesses, status)
-		}
-	}
 	for i, tp := range res.Topologies {
 		fmt.Printf("\n#%d topology %d  score=%d freq=%d  %d nodes / %d edges / %d class(es)\n",
 			i+1, tp.ID, tp.Score, tp.Frequency, tp.Nodes, tp.Edges, tp.Classes)

@@ -3,7 +3,10 @@ package toposearch_test
 import (
 	"context"
 	"errors"
+	"math"
+	"reflect"
 	"testing"
+	"time"
 
 	"toposearch"
 )
@@ -95,4 +98,85 @@ func TestSearcherParallelismSetting(t *testing.T) {
 				i, ids1[i], fr1[i], ids2[i], fr2[i])
 		}
 	}
+}
+
+// TestPartialETPrefix pins the deadline contract of the ET drain: with
+// PartialOK, a deadline cut returns the witnesses emitted so far, which
+// are a prefix of the unbounded answer, and a run that beat its
+// deadline returns the unbounded answer itself. Deadlines sweep
+// 50µs–5ms so the cut lands before, inside and after the drain. The
+// ranking is Rare: a pruned topology is more frequent than every
+// LeftTops one, so under Rare it never outranks them and Fast-Top-k-ET's
+// pruned merge admits nothing — its answer is exactly its ET stream.
+func TestPartialETPrefix(t *testing.T) {
+	// Scale 3, constrained to the single protein whose desc carries the
+	// token "6": witnesses are sparse, so the drain walks 0.3–2ms of
+	// groups before k of them appear.
+	db, err := toposearch.Synthetic(3, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := db.NewSearcher(toposearch.Protein, toposearch.DNA, toposearch.SearcherConfig{
+		MaxLen: 3, PruneThreshold: 8, MaxCombinations: 2048, CacheBytes: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const runs = 20
+	partials, cutInside := 0, 0
+	for _, method := range []string{"fast-top-k-et", "full-top-k-et"} {
+		for _, k := range []int{3, 10} {
+			q := toposearch.SearchQuery{K: k, Method: method, Ranking: toposearch.RankRare,
+				Cons1: []toposearch.Constraint{{Column: "desc", Keyword: "6"}}}
+			// A deadline already past when the method is dispatched is a
+			// cut before the first witness: an empty partial answer, not
+			// an error.
+			expired := q
+			expired.Deadline, expired.PartialOK = time.Nanosecond, true
+			res, err := s.Search(expired)
+			if err != nil {
+				t.Fatalf("%s k=%d expired deadline: %v, want an empty partial answer", method, k, err)
+			}
+			if !res.Partial || len(res.Topologies) != 0 {
+				t.Fatalf("%s k=%d expired deadline: partial %v with %d topologies, want an empty partial answer",
+					method, k, res.Partial, len(res.Topologies))
+			}
+			full, err := s.Search(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(full.Topologies) != k {
+				t.Fatalf("%s k=%d: unbounded answer has %d topologies, want k", method, k, len(full.Topologies))
+			}
+			for i := 0; i < runs; i++ {
+				// Geometric sweep from 50µs to 5ms.
+				d := time.Duration(50e3 * math.Pow(100, float64(i)/(runs-1)))
+				bq := q
+				bq.Deadline, bq.PartialOK = d, true
+				res, err := s.Search(bq)
+				if err != nil {
+					t.Fatalf("%s k=%d deadline %v: %v", method, k, d, err)
+				}
+				got, want := res.Topologies, full.Topologies
+				if !res.Partial {
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s k=%d deadline %v: complete result %v, want %v", method, k, d, got, want)
+					}
+					continue
+				}
+				partials++
+				if len(got) > 0 && len(got) < len(want) {
+					cutInside++
+				}
+				if len(got) > len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want[:len(got)])) {
+					t.Fatalf("%s k=%d deadline %v: partial result %v is not a prefix of %v", method, k, d, got, want)
+				}
+			}
+		}
+	}
+	if partials == 0 {
+		t.Fatal("no deadline in the sweep cut a query: the property was never exercised")
+	}
+	t.Logf("%d of %d runs partial, %d cut inside the drain", partials, 4*runs, cutInside)
 }

@@ -495,33 +495,3 @@ func AffectedStarts(g *graph.Graph, es1 string, maxLen int, edges []Edge) map[gr
 	}
 	return affected
 }
-
-// RouteStarts partitions an affected start-node frontier across n
-// shards through the caller's partition function — the same function
-// sharded queries cut their entity ranges with, so a delta batch's
-// recompute work lands exactly on the shards whose query windows it
-// touches. The returned maps are disjoint and their union is the input
-// frontier (shardOf results outside [0, n) clamp to the nearest
-// shard), which is what keeps sharded and single-store refreshes
-// equivalent: refreshing every shard's share refreshes exactly the
-// affected set.
-func RouteStarts(affected map[graph.NodeID]bool, n int, shardOf func(graph.NodeID) int) []map[graph.NodeID]bool {
-	if n < 1 {
-		n = 1
-	}
-	out := make([]map[graph.NodeID]bool, n)
-	for node := range affected {
-		s := shardOf(node)
-		if s < 0 {
-			s = 0
-		}
-		if s >= n {
-			s = n - 1
-		}
-		if out[s] == nil {
-			out[s] = make(map[graph.NodeID]bool)
-		}
-		out[s][node] = true
-	}
-	return out
-}

@@ -44,10 +44,6 @@ func (g *GroupBase) AdvanceToNextGroup() error { return nil }
 // GroupOrdinal implements GroupOp.
 func (g *GroupBase) GroupOrdinal() int { return g.ord }
 
-// LookaheadOpen implements the lookahead probe: a GroupBase never
-// reads ahead of the group it is emitting.
-func (g *GroupBase) LookaheadOpen() bool { return false }
-
 // IDGJ is the index nested-loops implementation of the Distinct Group
 // Join operator (Section 5.3): it joins a group-ordered outer stream
 // with an inner table via a hash-index probe, preserves the group
@@ -130,10 +126,6 @@ func (j *IDGJ) AdvanceToNextGroup() error {
 
 // GroupOrdinal implements GroupOp.
 func (j *IDGJ) GroupOrdinal() int { return j.Outer.GroupOrdinal() }
-
-// LookaheadOpen delegates the lookahead probe: an IDGJ pulls its outer
-// strictly on demand, so only a lookahead below it can be open.
-func (j *IDGJ) LookaheadOpen() bool { return lookaheadOpen(j.Outer) }
 
 // HDGJ is the hash implementation of the DGJ operator: it materializes
 // the outer tuples one group at a time, builds a hash table over the
@@ -285,14 +277,6 @@ func (j *HDGJ) AdvanceToNextGroup() error {
 // GroupOrdinal implements GroupOp.
 func (j *HDGJ) GroupOrdinal() int { return j.groupOrd }
 
-// LookaheadOpen reports that loading the current group consumed the
-// outer stream to exhaustion instead of parking a next-group tuple in
-// the pending buffer. When the outer is a segment window of a larger
-// stream, a sequential run over the whole stream would have kept
-// scanning past the window's end to find that tuple — work the
-// speculative sequencer's consumer replays at the stopping witness.
-func (j *HDGJ) LookaheadOpen() bool { return !j.havePen }
-
 // GroupFilter applies a predicate window to a group stream, preserving
 // group structure (the sigma operators between DGJ joins in Figure 15).
 type GroupFilter struct {
@@ -333,9 +317,6 @@ func (f *GroupFilter) AdvanceToNextGroup() error { return f.Child.AdvanceToNextG
 
 // GroupOrdinal implements GroupOp.
 func (f *GroupFilter) GroupOrdinal() int { return f.Child.GroupOrdinal() }
-
-// LookaheadOpen delegates the lookahead probe.
-func (f *GroupFilter) LookaheadOpen() bool { return lookaheadOpen(f.Child) }
 
 // DistinctGroups drives a DGJ stack: it emits the first tuple that
 // survives the stack for each group, immediately skips the remainder of

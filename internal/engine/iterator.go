@@ -62,15 +62,6 @@ func (c *Counters) Add(other Counters) {
 	c.Comparisons += other.Comparisons
 }
 
-// Sub removes other from c (the speculative ET driver derives wasted
-// work as total burned minus committed useful work).
-func (c *Counters) Sub(other Counters) {
-	c.RowsScanned -= other.RowsScanned
-	c.IndexProbes -= other.IndexProbes
-	c.TuplesOut -= other.TuplesOut
-	c.Comparisons -= other.Comparisons
-}
-
 // Work is the scalar work measure used by the benchmarks: rows scanned
 // plus index probes.
 func (c Counters) Work() int64 { return c.RowsScanned + c.IndexProbes }

@@ -68,11 +68,7 @@ func (s *Scan) Close() error { return nil }
 
 // OrderedScan scans a table in the order of an ordered index
 // (ascending or descending) — the "idxScan TopoInfo (score order)"
-// leaf of the early-termination plans (Figure 15). A scan can be
-// restricted to an order-position window [Lo, Hi) — positions in the
-// index order, not row positions — which is how speculative ET plans
-// hand each racing segment worker one contiguous slice of the
-// score-ordered group stream.
+// leaf of the early-termination plans (Figure 15).
 type OrderedScan struct {
 	Table *relstore.Table
 	Alias string
@@ -80,14 +76,6 @@ type OrderedScan struct {
 	Desc  bool
 	Pred  relstore.Pred
 	C     *Counters
-	Lo    int // first order position (inclusive)
-	Hi    int // one past the last order position; negative = end
-	// Order, when non-nil, is a pre-resolved index-order snapshot the
-	// scan iterates instead of walking the index at Open. Speculative
-	// ET resolves the order once and shares the (read-only) slice
-	// across every segment worker's scan, instead of each worker
-	// re-materializing all N positions for its one window.
-	Order []int32
 
 	idx   *relstore.OrderedIndex
 	order []int32
@@ -103,18 +91,7 @@ func NewOrderedScan(t *relstore.Table, alias, col string, desc bool, pred relsto
 	if !ok {
 		return nil, fmt.Errorf("engine: table %q has no ordered index on %q", t.Schema.Name, col)
 	}
-	return &OrderedScan{Table: t, Alias: alias, Col: col, Desc: desc, Pred: pred, C: c, Hi: -1, idx: idx}, nil
-}
-
-// NewOrderedScanRange returns an ordered scan restricted to order
-// positions [lo, hi).
-func NewOrderedScanRange(t *relstore.Table, alias, col string, desc bool, pred relstore.Pred, c *Counters, lo, hi int) (*OrderedScan, error) {
-	s, err := NewOrderedScan(t, alias, col, desc, pred, c)
-	if err != nil {
-		return nil, err
-	}
-	s.Lo, s.Hi = lo, hi
-	return s, nil
+	return &OrderedScan{Table: t, Alias: alias, Col: col, Desc: desc, Pred: pred, C: c, idx: idx}, nil
 }
 
 // Columns implements Op.
@@ -122,11 +99,7 @@ func (s *OrderedScan) Columns() []string { return qualify(s.Alias, s.Table.Schem
 
 // Open implements Op.
 func (s *OrderedScan) Open() error {
-	s.pos = s.Lo
-	if s.Order != nil {
-		s.order = s.Order
-		return nil
-	}
+	s.pos = 0
 	s.order = s.order[:0]
 	s.idx.Scan(s.Desc, func(pos int32) bool {
 		s.order = append(s.order, pos)
@@ -137,11 +110,7 @@ func (s *OrderedScan) Open() error {
 
 // Next implements Op.
 func (s *OrderedScan) Next() (relstore.Row, bool, error) {
-	n := len(s.order)
-	if s.Hi >= 0 && s.Hi < n {
-		n = s.Hi
-	}
-	for s.pos < n {
+	for s.pos < len(s.order) {
 		pos := s.order[s.pos]
 		s.pos++
 		if s.C != nil {

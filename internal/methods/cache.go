@@ -445,9 +445,8 @@ func (sh *cacheShard) moveFront(e *cacheEntry) {
 // CacheKey canonicalizes the result-identity part of a query into a
 // comparable cache key: the resolved method and ranking, k, and the two
 // constraint lists sorted (constraint order never affects results).
-// Latency-only knobs — parallelism, speculation width, shard count —
-// are deliberately excluded: results are byte-identical across them,
-// so all settings share one entry. Callers render each constraint into
+// The latency-only parallelism knob is deliberately excluded: results
+// are byte-identical across it, so all settings share one entry. Callers render each constraint into
 // a self-delimiting string before passing it here.
 func CacheKey(method, ranking string, k int, cons1, cons2 []string) string {
 	c1 := append([]string(nil), cons1...)

@@ -144,7 +144,7 @@ func (s *Store) sqlCandidate(tid core.TopologyID, starts []graph.NodeID, q Query
 //	WHERE pred1(A) AND pred2(B) AND A.ID = AT.E1 AND B.ID = AT.E2
 func (s *Store) FullTop(q Query) (QueryResult, error) {
 	var c engine.Counters
-	tids, stats, partial, err := s.distinctTopsTIDs(s.AllTops, q, &c)
+	tids, partial, err := s.distinctTopsTIDs(s.AllTops, q, &c)
 	if err != nil {
 		return QueryResult{}, err
 	}
@@ -153,18 +153,18 @@ func (s *Store) FullTop(q Query) (QueryResult, error) {
 		return QueryResult{}, err
 	}
 	sortItemsByTID(items)
-	return QueryResult{Items: items, Counters: c, Shard: shardReportFor(q, stats), Partial: partial}, nil
+	return QueryResult{Items: items, Counters: c, Partial: partial}, nil
 }
 
 // FastTop is the Section 4.3 method (query SQL1): the same join over
 // the much smaller LeftTops table, plus one on-line existence check per
 // pruned topology against the base data, guarded by the exception
 // table. Both halves run on the query worker pool: the LeftTops join
-// shards the driving entity scan and the pruned checks shard the
-// pruned-topology list.
+// cuts the driving entity scan into windows and the pruned checks
+// split the pruned-topology list.
 func (s *Store) FastTop(q Query) (QueryResult, error) {
 	var c engine.Counters
-	tids, stats, partial, err := s.distinctTopsTIDs(s.LeftTops, q, &c)
+	tids, partial, err := s.distinctTopsTIDs(s.LeftTops, q, &c)
 	if err != nil {
 		return QueryResult{}, err
 	}
@@ -183,5 +183,5 @@ func (s *Store) FastTop(q Query) (QueryResult, error) {
 		return QueryResult{}, err
 	}
 	sortItemsByTID(items)
-	return QueryResult{Items: items, Counters: c, Shard: shardReportFor(q, stats), Partial: partial}, nil
+	return QueryResult{Items: items, Counters: c, Partial: partial}, nil
 }

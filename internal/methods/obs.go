@@ -5,8 +5,8 @@ import "toposearch/internal/obs"
 // Engine-level metric families on the obs default registry. Every
 // increment site is gated on obs.Enabled() (one atomic load when
 // telemetry is off) and sits outside the scan/join inner loops:
-// speculation, shard and cache events fire once per segment / shard /
-// lookup, never per row.
+// cache and refresh events fire once per lookup / table, never per
+// row.
 var (
 	obsCacheEvents = obs.Default().CounterVec("toposearch_cache_events_total",
 		"Result-cache events by kind.", "event")
@@ -19,20 +19,6 @@ var (
 	obsCacheFillErr   = obsCacheEvents.With("fill_error")
 	obsCacheCollapsed = obsCacheEvents.With("collapsed")
 	obsCacheSkipStale = obsCacheEvents.With("skipped_stale")
-
-	obsSpecSegments = obs.Default().Counter("toposearch_spec_segments_total",
-		"Speculative ET segments raced.")
-	obsSpecUseful = obs.Default().Counter("toposearch_spec_committed_work_total",
-		"Useful (committed) work of speculative ET runs, in Counters.Work units.")
-	obsSpecWasted = obs.Default().Counter("toposearch_spec_wasted_work_total",
-		"Work burned by losing speculative segments beyond the committed work.")
-
-	obsShardExecutors = obs.Default().Counter("toposearch_shard_executors_total",
-		"Shard executors launched by scatter-gather queries.")
-	obsShardWork = obs.Default().Counter("toposearch_shard_work_total",
-		"Total work burned by shard executors, in Counters.Work units.")
-	obsShardPruned = obs.Default().Counter("toposearch_shard_bound_exchange_stops_total",
-		"Shard executors stopped early by the global top-k bound exchange.")
 
 	obsRefreshTables = obs.Default().CounterVec("toposearch_refresh_tables_total",
 		"Refresh materializations by topology table and diff mode (reused, spliced, rebuilt).",

@@ -12,10 +12,11 @@ import (
 	"toposearch/internal/fault"
 	"toposearch/internal/obs"
 	"toposearch/internal/relstore"
+	"toposearch/internal/shard"
 )
 
-// faultShardExec fires inside each shard executor of the scan-method
-// joins, exercising per-shard failure containment (chaos harness).
+// faultShardExec fires inside each window worker of the scan-method
+// joins, exercising per-window failure containment (chaos harness).
 var faultShardExec = fault.Register("shard.executor")
 
 // queryWorkers resolves the worker count for a query: the query's own
@@ -89,64 +90,32 @@ func parallelFor(n, w int, fn func(worker, i int)) error {
 	return nil
 }
 
-// shardRanges splits [0, n) into at most w contiguous ranges of nearly
-// equal size. Concatenating the ranges in order reproduces [0, n).
-func shardRanges(n, w int) [][2]int32 {
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	out := make([][2]int32, 0, w)
-	lo := 0
-	for i := 0; i < w; i++ {
-		hi := lo + (n-lo)/(w-i)
-		out = append(out, [2]int32{int32(lo), int32(hi)})
-		lo = hi
-	}
-	return out
-}
-
 // distinctTopsTIDs evaluates the Figure 14 join over the given Tops
-// table and returns the distinct TIDs in first-occurrence order, plus
-// per-shard stats when the query runs sharded. The driving ES1 scan is
-// partitioned into contiguous row ranges — under Query.Shards into
-// that many cost-weighted entity shards (one searcher-like executor
-// per shard, all racing), otherwise into equal windows across the
-// query workers. Concatenating the per-shard outputs in shard order
+// table and returns the distinct TIDs in first-occurrence order. The
+// driving ES1 scan is cut into equal contiguous windows, one per query
+// worker. Concatenating the per-window outputs in window order
 // reproduces the sequential scan's row order exactly, so the TID list —
 // and the merged counter totals, each row costing the same work in
-// whichever shard it lands — are byte-identical at every parallelism
-// and shard count.
-func (s *Store) distinctTopsTIDs(tops *relstore.Table, q Query, c *engine.Counters) ([]core.TopologyID, []ShardStat, bool, error) {
-	sharded := q.Shards > 1
-	var shards [][2]int32
-	if sharded {
-		shards = s.EntityShardRanges(q.Shards)
-	} else {
-		shards = shardRanges(s.T1.NumRows(), s.queryWorkers(q))
-	}
+// whichever window it lands — are byte-identical at every parallelism.
+func (s *Store) distinctTopsTIDs(tops *relstore.Table, q Query, c *engine.Counters) ([]core.TopologyID, bool, error) {
+	windows := shard.Equal(s.T1.NumRows(), s.queryWorkers(q))
 	trace := q.Trace.Child("tops-join")
 	defer trace.End()
 	var winSpans []*obs.Span
 	if trace != nil {
-		trace.SetInt("windows", int64(len(shards)))
-		if sharded {
-			trace.SetInt("shards", int64(len(shards)))
-		}
-		winSpans = make([]*obs.Span, len(shards))
-		for i, sh := range shards {
-			winSpans[i] = trace.Child(fmt.Sprintf("window %d [%d,%d)", i, sh[0], sh[1]))
+		trace.SetInt("windows", int64(len(windows)))
+		winSpans = make([]*obs.Span, len(windows))
+		for i, w := range windows {
+			winSpans[i] = trace.Child(fmt.Sprintf("window %d [%d,%d)", i, w[0], w[1]))
 		}
 	}
-	type shardOut struct {
+	type windowOut struct {
 		tids []core.TopologyID
 		c    engine.Counters
 		err  error
 	}
-	outs := make([]shardOut, len(shards))
-	if err := parallelFor(len(shards), len(shards), func(_, i int) {
+	outs := make([]windowOut, len(windows))
+	if err := parallelFor(len(windows), len(windows), func(_, i int) {
 		o := &outs[i]
 		if winSpans != nil {
 			defer func() {
@@ -163,33 +132,33 @@ func (s *Store) distinctTopsTIDs(tops *relstore.Table, q Query, c *engine.Counte
 			o.err = err
 			return
 		}
-		plan, tidCol, err := s.topsJoinPlan(tops, q, shards[i][0], shards[i][1], &o.c)
+		plan, tidCol, err := s.topsJoinPlan(tops, q, windows[i][0], windows[i][1], &o.c)
 		if err != nil {
 			o.err = err
 			return
 		}
 		o.tids, o.err = drainDistinctTIDs(plan, tidCol)
 	}); err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
 	var tids []core.TopologyID
 	partial := false
 	seen := make(map[core.TopologyID]bool)
 	for i := range outs {
 		if outs[i].err != nil {
-			// A shard cut off by the query deadline still produced a
+			// A window cut off by the query deadline still produced a
 			// valid (pair-supported) TID prefix; with PartialOK that
 			// prefix joins the partial answer instead of failing the
 			// query. Any other failure fails the whole query.
 			if !q.PartialOK || !errors.Is(outs[i].err, context.DeadlineExceeded) {
-				return nil, nil, false, outs[i].err
+				return nil, false, outs[i].err
 			}
 			partial = true
 		}
 		c.Add(outs[i].c)
-		// Per-shard dedup composes: the global first occurrence of a
-		// TID is its first occurrence within the earliest shard that
-		// saw it, so deduping the concatenation of shard-deduped lists
+		// Per-window dedup composes: the global first occurrence of a
+		// TID is its first occurrence within the earliest window that
+		// saw it, so deduping the concatenation of window-deduped lists
 		// equals deduping the sequential stream.
 		for _, tid := range outs[i].tids {
 			if !seen[tid] {
@@ -200,24 +169,7 @@ func (s *Store) distinctTopsTIDs(tops *relstore.Table, q Query, c *engine.Counte
 	}
 	c.TuplesOut += int64(len(tids))
 	trace.SetInt("distinct_tids", int64(len(tids)))
-	var stats []ShardStat
-	if sharded {
-		stats = make([]ShardStat, len(shards))
-		for i := range outs {
-			stats[i] = ShardStat{
-				Shard: i, Lo: shards[i][0], Hi: shards[i][1],
-				Work: outs[i].c.Work(), Witnesses: len(outs[i].tids),
-				Complete: outs[i].err == nil,
-			}
-		}
-		if obs.Enabled() {
-			obsShardExecutors.Add(int64(len(stats)))
-			for i := range stats {
-				obsShardWork.Add(stats[i].Work)
-			}
-		}
-	}
-	return tids, stats, partial, nil
+	return tids, partial, nil
 }
 
 // drainDistinctTIDs runs a tops join plan to exhaustion and collects

@@ -196,3 +196,82 @@ func TestConcurrentStoreBuildsSharedDB(t *testing.T) {
 		}
 	}
 }
+
+// TestEntityShardRangesCoverAndRoute pins the footprint-bucket
+// partition the result cache freezes: the cost-weighted entity ranges
+// cover the entity table exactly, Find locates every position in its
+// own range, and positions past the domain clamp to the last range.
+func TestEntityShardRangesCoverAndRoute(t *testing.T) {
+	s := generatedStore(t, 2)
+	n := s.T1.NumRows()
+	for _, buckets := range []int{1, 2, 3, 7, methods.FootprintBuckets} {
+		r := s.EntityShardRanges(buckets)
+		if len(r) != buckets {
+			t.Fatalf("%d buckets: got %d ranges", buckets, len(r))
+		}
+		lo := int32(0)
+		for i, rg := range r {
+			if rg[0] != lo || rg[1] < rg[0] {
+				t.Fatalf("%d buckets: range %d = %v not contiguous from %d", buckets, i, rg, lo)
+			}
+			lo = rg[1]
+		}
+		if int(lo) != n || r.Domain() != lo {
+			t.Fatalf("%d buckets: ranges cover [0,%d) (domain %d), want [0,%d)", buckets, lo, r.Domain(), n)
+		}
+		for pos := int32(0); pos < int32(n); pos++ {
+			if i := r.Find(pos); pos < r[i][0] || pos >= r[i][1] {
+				t.Fatalf("%d buckets: Find(%d) = range %d %v", buckets, pos, i, r[i])
+			}
+		}
+		if i := r.Find(int32(n) + 100); i != buckets-1 {
+			t.Errorf("%d buckets: position past the domain found range %d, want %d", buckets, i, buckets-1)
+		}
+	}
+}
+
+// TestMergePrunedParallelMatchesSequential pins the parallelized SQL4
+// cut-off merge: Fast-Top-k(-ET) with workers runs the pruned
+// existence checks speculatively in parallel, yet items and counter
+// totals stay byte-identical to the sequential merge — in the
+// underfull regime (large k: every pruned topology needs its check)
+// and the overfull-with-admissions regime (small k: the bar rises as
+// checks admit candidates, shrinking the executed set).
+func TestMergePrunedParallelMatchesSequential(t *testing.T) {
+	// Threshold 1 prunes aggressively so the merge has many candidates.
+	s := generatedStore(t, 1)
+	if len(s.PrunedTIDs) < 2 {
+		t.Fatalf("store pruned only %d topologies; test needs candidates", len(s.PrunedTIDs))
+	}
+	med, err := biozon.SelectivityPred(s.T1.Schema, "medium")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, method := range []string{methods.MethodFastTopK, methods.MethodFastTopKET} {
+		for _, k := range []int{1, 2, 1000} {
+			q := methods.Query{Pred1: med, K: k, Ranking: ranking.Domain, Parallelism: 1}
+			want, err := s.Run(method, q)
+			if err != nil {
+				t.Fatalf("%s seq: %v", method, err)
+			}
+			for _, par := range []int{2, 8} {
+				qq := q
+				qq.Parallelism = par
+				got, err := s.Run(method, qq)
+				if err != nil {
+					t.Fatalf("%s par=%d: %v", method, par, err)
+				}
+				tag := fmt.Sprintf("%s/k=%d/par=%d", method, k, par)
+				if !reflect.DeepEqual(got.Items, want.Items) {
+					t.Errorf("%s: items %v, want %v", tag, got.Items, want.Items)
+				}
+				if got.Counters != want.Counters {
+					t.Errorf("%s: counters %+v, want %+v", tag, got.Counters, want.Counters)
+				}
+				if w := got.Wasted; w.RowsScanned < 0 || w.IndexProbes < 0 {
+					t.Errorf("%s: negative wasted work %+v", tag, w)
+				}
+			}
+		}
+	}
+}

@@ -2,13 +2,19 @@ package methods
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"toposearch/internal/core"
 	"toposearch/internal/engine"
+	"toposearch/internal/fault"
 	"toposearch/internal/graph"
 	"toposearch/internal/relstore"
 )
+
+// faultET fires once per ET query, before the drain opens its DGJ stack
+// (chaos harness).
+var faultET = fault.Register("methods.et")
 
 // topsJoinPlan builds the regular (Figure 14 style) join pipeline:
 //
@@ -132,23 +138,18 @@ func (s *Store) prunedExists(tid core.TopologyID, q Query, c *engine.Counters) (
 }
 
 // buildETStack constructs the Figure 15 DGJ stack over the given Tops
-// table: an ordered scan of TopInfo in descending score order —
-// restricted to the order-position window [lo, hi); hi < 0 means the
-// whole stream — feeding the three-join DGJ pipeline. Speculative ET
-// builds one stack per contiguous segment of the group stream, all
-// sharing one pre-resolved order snapshot; the sequential plans build
-// one over the whole stream (order nil: the scan resolves it itself).
-// ctx threads cancellation GroupGuards into the stack (losing segment
-// workers abort mid-group); a nil ctx adds no guards, so the guarded
-// and unguarded stacks charge identical counters. It returns the stack
-// root plus the output positions of the TID and score columns.
-func (s *Store) buildETStack(tops *relstore.Table, q Query, order []int32, lo, hi int, c *engine.Counters, ctx context.Context) (engine.GroupOp, int, int, error) {
+// table: an ordered scan of TopInfo in descending score order feeding
+// the three-join DGJ pipeline. ctx threads cancellation GroupGuards
+// into the stack so a deadline aborts it mid-group; a nil ctx adds no
+// guards, and the guarded and unguarded stacks charge identical
+// counters. It returns the stack root plus the output positions of the
+// TID and score columns.
+func (s *Store) buildETStack(tops *relstore.Table, q Query, c *engine.Counters, ctx context.Context) (engine.GroupOp, int, int, error) {
 	scoreCol := core.ScoreColumn(q.Ranking)
-	ti, err := engine.NewOrderedScanRange(s.TopInfo, "TI", scoreCol, true, nil, c, lo, hi)
+	ti, err := engine.NewOrderedScan(s.TopInfo, "TI", scoreCol, true, nil, c)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	ti.Order = order
 	var base engine.GroupOp = engine.NewGroupBase(ti)
 	tidCol := engine.MustColIndex(base, "TI.TID")
 	scoreIdx := engine.MustColIndex(base, "TI."+scoreCol)
@@ -178,28 +179,66 @@ func (s *Store) buildETStack(tops *relstore.Table, q Query, order []int32, lo, h
 
 // etPlan builds the Figure 15 early-termination pipeline over the given
 // Tops table and drains it sequentially: the DGJ stack over the whole
-// score-ordered group stream, topped by DistinctGroups(k).
-func (s *Store) etPlan(tops *relstore.Table, q Query, k int, c *engine.Counters) ([]Item, error) {
+// score-ordered group stream, topped by DistinctGroups(k), stopping
+// once k groups have produced a witness.
+//
+// With q.PartialOK the stack's GroupGuards also watch the query
+// context, and a deadline cut returns the witnesses emitted so far with
+// partial set. DistinctGroups emits witnesses in canonical group order,
+// so they are a prefix of the complete answer.
+func (s *Store) etPlan(tops *relstore.Table, q Query, k int, c *engine.Counters) ([]Item, bool, error) {
 	if q.Ranking == "" {
-		return nil, fmt.Errorf("methods: ET plans need a ranking")
+		return nil, false, fmt.Errorf("methods: ET plans need a ranking")
 	}
-	g3, tidCol, scoreIdx, err := s.buildETStack(tops, q, nil, 0, -1, c, nil)
+	if err := faultET.Hit(); err != nil {
+		return nil, false, err
+	}
+	var guardCtx context.Context
+	if q.PartialOK {
+		guardCtx = q.Ctx
+	}
+	g3, tidCol, scoreIdx, err := s.buildETStack(tops, q, c, guardCtx)
 	if err != nil {
+		return nil, false, err
+	}
+	sp := q.Trace.Child("et")
+	defer sp.End()
+	top := engine.NewGuard(engine.NewDistinctGroups(g3, k), q.Ctx)
+	items, err := drainItems(top, tidCol, scoreIdx)
+	partial := false
+	if err != nil {
+		if !q.PartialOK || !errors.Is(err, context.DeadlineExceeded) {
+			return nil, false, err
+		}
+		partial = true
+		sp.SetInt("partial", 1)
+	}
+	c.TuplesOut += int64(len(items))
+	sp.SetInt("work", c.Work())
+	sp.SetInt("witnesses", int64(len(items)))
+	return items, partial, nil
+}
+
+// drainItems runs an ET plan root to exhaustion and reads each emitted
+// witness's TID and score. On error the items read before the failure
+// are returned alongside it, so a deadline-bounded caller can keep them
+// as a partial answer.
+func drainItems(op engine.Op, tidCol, scoreIdx int) ([]Item, error) {
+	if err := op.Open(); err != nil {
 		return nil, err
 	}
-	top := engine.NewDistinctGroups(g3, k)
-	rows, err := engine.Drain(engine.NewGuard(top, q.Ctx))
-	if err != nil {
-		return nil, err
+	defer op.Close()
+	var items []Item
+	for {
+		r, ok, err := op.Next()
+		if err != nil {
+			return items, err
+		}
+		if !ok {
+			return items, nil
+		}
+		items = append(items, Item{TID: core.TopologyID(r[tidCol].Int), Score: r[scoreIdx].Int})
 	}
-	if c != nil {
-		c.TuplesOut += int64(len(rows))
-	}
-	items := make([]Item, len(rows))
-	for i, r := range rows {
-		items[i] = Item{TID: core.TopologyID(r[tidCol].Int), Score: r[scoreIdx].Int}
-	}
-	return items, nil
 }
 
 // itemsForTIDs attaches ranking scores to a TID list (no ranking: zero

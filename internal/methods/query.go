@@ -2,6 +2,7 @@ package methods
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -36,43 +37,16 @@ type Query struct {
 	// sequential execution. Result items AND merged counter totals are
 	// byte-identical at every setting.
 	Parallelism int
-	// Speculation is the speculative ET width: the ET plans partition
-	// the score-ordered group stream into this many contiguous
-	// segments, race one restartable DGJ stack per segment, and commit
-	// witnesses in canonical group order, cancelling in-flight losers
-	// the moment the k-th witness commits. 0 and 1 run the classical
-	// sequential stack. Result items, plans AND useful-work counters
-	// are byte-identical at every setting; the extra work burned by
-	// losing segments is reported separately in QueryResult.Spec.
-	Speculation int
-	// Shards is the scatter-gather shard count: the driving position
-	// space — entity rows for the scan methods, the score-ordered
-	// group stream for the ET plans — is partitioned into this many
-	// contiguous cost-weighted ranges, one searcher-like executor per
-	// shard, and the per-shard streams are merged by a coordinator.
-	// ET executors additionally exchange the global top-k bound: a
-	// shard is cancelled once the results emitted below it already
-	// cover k (nothing it can still produce can enter the top k).
-	// 0 and 1 run single-store execution. Result items, plans AND
-	// merged useful-work counter totals are byte-identical at every
-	// shard count; per-shard accounting lands in QueryResult.Shard.
-	Shards int
-	// NoBoundExchange disables the ET shards' global bound exchange
-	// (results stay identical; the shards merely stop pruning each
-	// other). It exists so the bench harness can measure the work the
-	// exchange avoids.
-	NoBoundExchange bool
 	// PartialOK permits a deadline-bounded query (Ctx carrying a
 	// deadline) to return the ranked results produced before the
 	// deadline instead of failing with context.DeadlineExceeded. The
-	// result's Partial flag reports that the answer is a subset;
-	// per-shard completeness lands in ShardStat.Complete. Cancellation
-	// (as opposed to deadline expiry) still fails the query: an
-	// abandoned caller wants no answer at all.
+	// result's Partial flag reports that the answer is a subset.
+	// Cancellation (as opposed to deadline expiry) still fails the
+	// query: an abandoned caller wants no answer at all.
 	PartialOK bool
 	// Trace, when non-nil, collects a span tree of the execution
-	// (method dispatch, optimizer choice, scan/join windows, ET
-	// segments, shard executors, merges) under the given parent span.
+	// (method dispatch, optimizer choice, scan/join windows, the ET
+	// drain, merges) under the given parent span.
 	// Tracing records timings and counter attributes only — it never
 	// changes the work performed, so traced results stay byte-identical
 	// to untraced ones. nil (the default) disables tracing at the cost
@@ -93,97 +67,17 @@ type QueryResult struct {
 	Items    []Item
 	Counters engine.Counters
 	Plan     optimizer.PlanKind
-	// Spec accounts speculative-execution work (zero unless the query
-	// ran an ET plan with Query.Speculation > 1). Counters above always
-	// reports the useful work only — byte-identical to a sequential
-	// run — while Spec.Wasted holds the extra work losing segments
-	// burned before they were cancelled.
-	Spec SpecReport
-	// Shard is the scatter-gather accounting (zero unless the query ran
-	// with Query.Shards > 1): one entry per shard executor with its
-	// position range, the work it burned, and whether the bound
-	// exchange pruned it.
-	Shard ShardReport
+	// Wasted is the work the parallel pruned-topology merge of the
+	// Fast-Top-k methods burned on existence checks the sequential loop
+	// would have skipped. Counters above reports the useful work only,
+	// byte-identical to a sequential run.
+	Wasted engine.Counters
 	// Partial reports that the query's deadline expired with PartialOK
 	// set: Items holds the ranked results produced before the cut, a
 	// subset of the full answer. Counters then report the work actually
 	// performed (the byte-identical useful-work discipline applies only
 	// to complete runs).
 	Partial bool
-}
-
-// ShardReport is the scatter-gather accounting of one sharded query.
-type ShardReport struct {
-	// Count is the shard count the query ran with (0 = unsharded).
-	Count int
-	// Stats holds one entry per shard executor, in shard order.
-	Stats []ShardStat
-}
-
-// ShardStat is one shard executor's share of a sharded query.
-type ShardStat struct {
-	// Shard is the executor's index in partition order.
-	Shard int
-	// Lo and Hi delimit the shard's position window [Lo, Hi) — entity
-	// rows for the scan methods, score-order positions for ET.
-	Lo, Hi int32
-	// Work is the total work the shard burned (useful or not), in the
-	// Counters.Work unit.
-	Work int64
-	// Witnesses is the number of results the shard produced (emitted
-	// ET witnesses, or distinct TIDs before the global merge).
-	Witnesses int
-	// Pruned reports that the bound exchange stopped this shard early:
-	// results already emitted below it covered the top k, so its
-	// remaining window could not contribute (ET only).
-	Pruned bool
-	// Complete reports that the shard ran its window to the end (or was
-	// legitimately pruned/cancelled by the bound exchange or the commit)
-	// rather than being cut off by the query deadline. Always true for
-	// non-partial results.
-	Complete bool
-}
-
-// MaxWork returns the largest single-shard work share — the
-// scatter-gather critical path.
-func (r ShardReport) MaxWork() int64 {
-	var m int64
-	for _, st := range r.Stats {
-		if st.Work > m {
-			m = st.Work
-		}
-	}
-	return m
-}
-
-// PrunedShards counts the shards the bound exchange stopped early.
-func (r ShardReport) PrunedShards() int {
-	n := 0
-	for _, st := range r.Stats {
-		if st.Pruned {
-			n++
-		}
-	}
-	return n
-}
-
-// SpecReport is the speculative-execution work accounting of one
-// query.
-type SpecReport struct {
-	// Width is the speculation width the ET plan ran with (0 = the
-	// query ran without speculation).
-	Width int
-	// Wasted is the work performed by speculative segment workers
-	// beyond the committed useful work in QueryResult.Counters: groups
-	// raced past the k-th witness, plus partial work in flight when
-	// the losers were cancelled.
-	Wasted engine.Counters
-	// CriticalPath is the largest single-segment share of the useful
-	// work: the racing phase cannot finish before its slowest segment,
-	// so this bounds the ET latency from below on hardware with one
-	// core per segment. For a sequential ET run it equals the whole ET
-	// work.
-	CriticalPath engine.Counters
 }
 
 // TIDs lists the result topology IDs in order.
@@ -225,10 +119,12 @@ func (s *Store) Run(method string, q Query) (QueryResult, error) {
 }
 
 // RunContext is Run with a cancellation context: long-running plans
-// abort with the context's error once it is cancelled.
+// abort with the context's error once it is cancelled. Under PartialOK
+// a deadline that expired before dispatch still reaches the method,
+// which answers with the (empty) partial result.
 func (s *Store) RunContext(ctx context.Context, method string, q Query) (QueryResult, error) {
 	if ctx != nil {
-		if err := ctx.Err(); err != nil {
+		if err := ctx.Err(); err != nil && !(q.PartialOK && errors.Is(err, context.DeadlineExceeded)) {
 			return QueryResult{}, err
 		}
 		q.Ctx = ctx

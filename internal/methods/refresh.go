@@ -104,12 +104,11 @@ func (s *Store) RefreshDiff(ctx context.Context, g *graph.Graph, affected map[gr
 		obsRefreshTables.With("TopInfo", d.TopInfo.Mode).Inc()
 	}
 	if d.AllTops.Reused() {
-		// The entity-shard weight profile is a pure function of T1 and
-		// the AllTops fan-outs; an unchanged AllTops means the profile is
-		// unchanged too (new fan-out-free entities weigh the same as any
-		// other unrelated entity: they produce no results, so shard scans
-		// cut by the carried profile lose nothing). This skips the O(T1)
-		// prefix recomputation for entity-only and no-op frontiers.
+		// The entity weight profile is a pure function of T1 and the
+		// AllTops fan-outs; an unchanged AllTops means the profile is
+		// unchanged too (new fan-out-free entities produce no results, so
+		// ranges cut by the carried profile lose nothing). This skips the
+		// O(T1) prefix recomputation for entity-only and no-op frontiers.
 		ns.entityPrefix = s.entityPrefix
 	}
 	if err := ns.warmIndexes(); err != nil {

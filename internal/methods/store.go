@@ -66,13 +66,12 @@ type Store struct {
 
 	sigToPath map[graph.PathSig]graph.SchemaPath
 
-	// entityPrefix is the per-generation entity-shard weight profile:
+	// entityPrefix is the per-generation entity weight profile:
 	// entityPrefix[p+1] - entityPrefix[p] = 1 + the AllTops fan-out of
 	// the entity at T1 position p (one scan charge plus its tops join
 	// matches — the dominant per-row cost of the Figure 14 plans).
-	// Sharded queries and delta routing both cut/route through this one
-	// prefix-sum array, so they can never disagree about which shard
-	// owns an entity within a store generation.
+	// The result cache's footprint buckets are cut from it (see
+	// EntityShardRanges).
 	entityPrefix []int64
 }
 
@@ -185,11 +184,10 @@ func (s *Store) warmIndexes() error {
 	for _, t := range []*relstore.Table{s.T1, s.T2, s.AllTops, s.LeftTops, s.ExcpTops, s.TopInfo} {
 		t.Stats()
 	}
-	// Entity-shard weight profile: cost-weighted shard cuts and delta
-	// routing read this prefix-sum array (see the field doc). The E1
-	// hash index doubles as the probe index of the tops joins. A refresh
-	// that carried AllTops over unchanged pre-seeds entityPrefix with
-	// the previous generation's profile, skipping the O(T1) rebuild.
+	// Entity weight profile for EntityShardRanges (see the field doc).
+	// The E1 hash index doubles as the probe index of the tops joins. A
+	// refresh that carried AllTops over unchanged pre-seeds entityPrefix
+	// with the previous generation's profile, skipping the O(T1) rebuild.
 	e1Idx, err := s.AllTops.CreateHashIndex("E1")
 	if err != nil {
 		return err
@@ -209,25 +207,10 @@ func (s *Store) warmIndexes() error {
 }
 
 // EntityShardRanges cuts the T1 position space into n cost-weighted
-// contiguous shards, balanced by each entity's AllTops fan-out. The
-// cut is a pure function of the store generation's weight profile:
-// every query and every delta-routing decision against this generation
-// sees the same partition.
+// contiguous ranges, balanced by each entity's AllTops fan-out. The
+// cut is a pure function of the store generation's weight profile.
 func (s *Store) EntityShardRanges(n int) shard.Ranges {
 	return shard.FromPrefix(s.entityPrefix, n)
-}
-
-// ShardOfEntity routes an entity-1 ID to its shard under an n-way
-// partition of this store generation. Entities unknown to the
-// generation (e.g. rows a delta batch is about to insert) clamp to the
-// last shard, which owns the append frontier until the next
-// generation re-cuts.
-func (s *Store) ShardOfEntity(id int64, n int) int {
-	r := s.EntityShardRanges(n)
-	if pos, ok := s.T1.PKPos(id); ok {
-		return r.Find(pos)
-	}
-	return len(r) - 1
 }
 
 func (s *Store) opts() core.Options {

@@ -10,40 +10,30 @@ import (
 
 // topKOverTops runs the regular top-k pipeline (SQL3/SQL4 upper
 // sub-query) over the given Tops table: join, attach scores, distinct,
-// order by score, fetch k. The join shards its driving entity scan
-// across the query workers (or, under Query.Shards, across the
-// cost-weighted entity shards).
-func (s *Store) topKOverTops(tops *relstore.Table, q Query, c *engine.Counters) ([]Item, []ShardStat, bool, error) {
-	tids, stats, partial, err := s.distinctTopsTIDs(tops, q, c)
+// order by score, fetch k. The join cuts its driving entity scan into
+// windows across the query workers.
+func (s *Store) topKOverTops(tops *relstore.Table, q Query, c *engine.Counters) ([]Item, bool, error) {
+	tids, partial, err := s.distinctTopsTIDs(tops, q, c)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
 	items, err := s.itemsForTIDs(tids, q.Ranking)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
 	sortItems(items)
-	return items, stats, partial, nil
-}
-
-// shardReportFor wraps per-shard stats into a report when the query
-// actually ran sharded.
-func shardReportFor(q Query, stats []ShardStat) ShardReport {
-	if q.Shards > 1 && len(stats) > 0 {
-		return ShardReport{Count: len(stats), Stats: stats}
-	}
-	return ShardReport{}
+	return items, partial, nil
 }
 
 // FullTopK is SQL3 over AllTops: compute every topology result, order
 // by score, fetch the first k.
 func (s *Store) FullTopK(q Query) (QueryResult, error) {
 	var c engine.Counters
-	items, stats, partial, err := s.topKOverTops(s.AllTops, q, &c)
+	items, partial, err := s.topKOverTops(s.AllTops, q, &c)
 	if err != nil {
 		return QueryResult{}, err
 	}
-	return QueryResult{Items: trimK(items, q.K), Counters: c, Shard: shardReportFor(q, stats), Partial: partial}, nil
+	return QueryResult{Items: trimK(items, q.K), Counters: c, Partial: partial}, nil
 }
 
 // FastTopK is the Fast-Top-k method of Section 5.1 (queries SQL4 and
@@ -53,7 +43,7 @@ func (s *Store) FullTopK(q Query) (QueryResult, error) {
 // per-topology existence check with the exception-table guard.
 func (s *Store) FastTopK(q Query) (QueryResult, error) {
 	var c engine.Counters
-	items, stats, partial, err := s.topKOverTops(s.LeftTops, q, &c)
+	items, partial, err := s.topKOverTops(s.LeftTops, q, &c)
 	if err != nil {
 		return QueryResult{}, err
 	}
@@ -68,9 +58,7 @@ func (s *Store) FastTopK(q Query) (QueryResult, error) {
 			return QueryResult{}, err
 		}
 	}
-	res := QueryResult{Items: items, Counters: c, Shard: shardReportFor(q, stats), Partial: partial}
-	res.Spec.Wasted.Add(wasted)
-	return res, nil
+	return QueryResult{Items: items, Counters: c, Wasted: wasted, Partial: partial}, nil
 }
 
 // mergePruned applies the SQL4 cut-off and runs SQL5 for each pruned
@@ -98,18 +86,9 @@ func (s *Store) mergePruned(items []Item, q Query, c *engine.Counters) ([]Item, 
 	trace := q.Trace.Child("pruned-merge")
 	defer trace.End()
 	trace.SetInt("candidates", int64(len(s.PrunedTIDs)))
-	// Resolve candidate scores up front (score lookups charge nothing).
-	cands := make([]Item, len(s.PrunedTIDs))
-	for i, tid := range s.PrunedTIDs {
-		score := int64(0)
-		if q.Ranking != "" {
-			var err error
-			score, err = s.scoreOf(tid, q.Ranking)
-			if err != nil {
-				return nil, wasted, false, err
-			}
-		}
-		cands[i] = Item{TID: tid, Score: score}
+	cands, err := s.prunedCandidates(q)
+	if err != nil {
+		return nil, wasted, false, err
 	}
 	// SQL4 cut-off: a pruned topology that cannot displace the current
 	// k-th result under the (score desc, TID asc) total order is
@@ -162,7 +141,9 @@ func (s *Store) mergePruned(items []Item, q Query, c *engine.Counters) ([]Item, 
 		if o.err != nil {
 			if q.PartialOK && errors.Is(o.err, context.DeadlineExceeded) {
 				// Deadline cut mid-merge: ship the admissions made so
-				// far as a partial answer instead of failing.
+				// far as a partial answer instead of failing, cut back to
+				// a prefix of the complete answer.
+				items = outrankAll(items, cands[i:])
 				partial = true
 				break
 			}
@@ -185,36 +166,71 @@ func (s *Store) mergePruned(items []Item, q Query, c *engine.Counters) ([]Item, 
 	return trimK(items, q.K), wasted, partial, nil
 }
 
+// prunedCandidates resolves each pruned topology's score under the
+// query's ranking (score lookups charge nothing), in PrunedTIDs order.
+func (s *Store) prunedCandidates(q Query) ([]Item, error) {
+	cands := make([]Item, len(s.PrunedTIDs))
+	for i, tid := range s.PrunedTIDs {
+		cands[i].TID = tid
+		if q.Ranking != "" {
+			score, err := s.scoreOf(tid, q.Ranking)
+			if err != nil {
+				return nil, err
+			}
+			cands[i].Score = score
+		}
+	}
+	return cands, nil
+}
+
+// outrankAll returns the leading run of the ranked items that rank
+// before every candidate. When the candidates are the pruned topologies
+// a deadline left unchecked, no survivor among them can enter the
+// answer ahead of that run, so it is a prefix of the complete answer.
+func outrankAll(items, cands []Item) []Item {
+	n := len(items)
+	for _, c := range cands {
+		for n > 0 && !rankedBefore(items[n-1], c) {
+			n--
+		}
+	}
+	return items[:n]
+}
+
 // FullTopKET is the early-termination method over AllTops (no pruning):
 // the Figure 15 DGJ stack, stopping after k groups produce a witness.
-// Query.Speculation > 1 or Query.Shards > 1 races the stack's group
-// stream across segment workers with byte-identical results.
 func (s *Store) FullTopKET(q Query) (QueryResult, error) {
 	var c engine.Counters
-	items, rep, shrep, partial, err := s.etRun(s.AllTops, q, q.K, &c)
+	items, partial, err := s.etPlan(s.AllTops, q, q.K, &c)
 	if err != nil {
 		return QueryResult{}, err
 	}
-	return QueryResult{Items: items, Counters: c, Spec: rep, Shard: shrep, Partial: partial}, nil
+	return QueryResult{Items: items, Counters: c, Partial: partial}, nil
 }
 
 // FastTopKET is the Fast-Top-k-ET method of Section 5.3: the DGJ stack
 // over LeftTops plus the SQL5 merging of pruned topologies.
-// Query.Speculation > 1 or Query.Shards > 1 races the stack's group
-// stream across segment workers with byte-identical results.
 func (s *Store) FastTopKET(q Query) (QueryResult, error) {
 	var c engine.Counters
-	items, rep, shrep, partial, err := s.etRun(s.LeftTops, q, q.K, &c)
+	items, partial, err := s.etPlan(s.LeftTops, q, q.K, &c)
 	if err != nil {
 		return QueryResult{}, err
 	}
-	if !partial {
-		var wasted engine.Counters
+	var wasted engine.Counters
+	if partial {
+		// The deadline cut the ET drain, so no pruned-topology check can
+		// run against the expired context; keep the witnesses no pruned
+		// topology can outrank.
+		cands, err := s.prunedCandidates(q)
+		if err != nil {
+			return QueryResult{}, err
+		}
+		items = outrankAll(items, cands)
+	} else {
 		items, wasted, partial, err = s.mergePruned(items, q, &c)
 		if err != nil {
 			return QueryResult{}, err
 		}
-		rep.Wasted.Add(wasted)
 	}
-	return QueryResult{Items: items, Counters: c, Spec: rep, Shard: shrep, Partial: partial}, nil
+	return QueryResult{Items: items, Counters: c, Wasted: wasted, Partial: partial}, nil
 }

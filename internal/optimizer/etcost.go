@@ -163,22 +163,6 @@ func (s StackStats) Params() []GroupParams {
 	return out
 }
 
-// GroupCosts returns the expected processing cost of each group in
-// index-probe units: one driving-scan charge plus Card_i input tuples
-// each paying the Lemma 2 full-descent cost delta_0. This is the
-// weight profile for cost-balanced segment/shard cut points — unlike
-// ETCost it ignores early termination (a cut-point profile must cover
-// the exhaustive case, and the relative weights are what balances the
-// cuts), so it is cheap to evaluate for every group.
-func (s StackStats) GroupCosts() []float64 {
-	c := computeChains(s.Joins)
-	out := make([]float64, len(s.Cards))
-	for i, card := range s.Cards {
-		out[i] = 1 + card*c.delta[0]
-	}
-	return out
-}
-
 // ETCost evaluates Theorem 1 by dynamic programming: the expected cost
 // of producing the top k groups with results when groups are processed
 // in the given order. It returns the expected cost in index-probe

@@ -27,10 +27,6 @@ type Table2Options struct {
 	K          int
 	Reps       int
 	IncludeSQL bool
-	// Speculation is the speculative ET width applied to every query
-	// (the ET and Opt methods use it; results are identical at any
-	// setting, only latency moves).
-	Speculation int
 }
 
 // Table2 reproduces the paper's Table 2 on the Protein-Interaction
@@ -69,8 +65,7 @@ func Table2(env *Env, opts Table2Options) ([]Table2Cell, error) {
 				}
 				var base *Table2Cell
 				for _, rk := range rks {
-					q := methods.Query{Pred1: p1, Pred2: p2, K: opts.K, Ranking: rk,
-						Speculation: opts.Speculation}
+					q := methods.Query{Pred1: p1, Pred2: p2, K: opts.K, Ranking: rk}
 					if rankIndependent {
 						q.K = 0
 						q.Ranking = ""

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -16,6 +17,10 @@ import (
 // maxApplyBytes caps a /v1/apply request body (the JSONL parser's own
 // per-line cap still applies inside it).
 const maxApplyBytes = 64 << 20
+
+// maxSearchBytes caps a /v1/search request body: one JSON object of a
+// few constraints is far below it.
+const maxSearchBytes = 1 << 20
 
 // Constraint is the wire form of toposearch.Constraint.
 type Constraint struct {
@@ -31,18 +36,16 @@ type Constraint struct {
 // the request context AND becomes the query's Deadline, so with
 // partial_ok the daemon answers 200 with partial=true instead of 504.
 type SearchRequest struct {
-	ES1         string       `json:"es1,omitempty"`
-	ES2         string       `json:"es2,omitempty"`
-	K           int          `json:"k,omitempty"`
-	Ranking     string       `json:"ranking,omitempty"`
-	Method      string       `json:"method,omitempty"`
-	Cons1       []Constraint `json:"cons1,omitempty"`
-	Cons2       []Constraint `json:"cons2,omitempty"`
-	Speculation int          `json:"speculation,omitempty"`
-	Shards      int          `json:"shards,omitempty"`
-	TimeoutMs   int64        `json:"timeout_ms,omitempty"`
-	PartialOK   bool         `json:"partial_ok,omitempty"`
-	Trace       bool         `json:"trace,omitempty"`
+	ES1       string       `json:"es1,omitempty"`
+	ES2       string       `json:"es2,omitempty"`
+	K         int          `json:"k,omitempty"`
+	Ranking   string       `json:"ranking,omitempty"`
+	Method    string       `json:"method,omitempty"`
+	Cons1     []Constraint `json:"cons1,omitempty"`
+	Cons2     []Constraint `json:"cons2,omitempty"`
+	TimeoutMs int64        `json:"timeout_ms,omitempty"`
+	PartialOK bool         `json:"partial_ok,omitempty"`
+	Trace     bool         `json:"trace,omitempty"`
 }
 
 // SearchResponse is the POST /v1/search response. Result is the
@@ -72,7 +75,6 @@ type SearcherStatus struct {
 	Pruned     int                      `json:"pruned"`
 	Stats      toposearch.SearcherStats `json:"stats"`
 	Cache      methods.CacheStats       `json:"cache"`
-	Routing    []int                    `json:"routing,omitempty"`
 }
 
 // StatsResponse is the GET /v1/stats body.
@@ -183,13 +185,17 @@ func writeEngineError(w http.ResponseWriter, err error) {
 
 // decodeSearch parses and validates the request body against the
 // engine's vocabulary, so malformed queries 400 before touching the
-// pool.
-func (sv *Server) decodeSearch(r *http.Request) (SearchRequest, toposearch.SearchQuery, error) {
+// pool. The body must be exactly one JSON object of at most
+// maxSearchBytes with no unknown fields.
+func (sv *Server) decodeSearch(w http.ResponseWriter, r *http.Request) (SearchRequest, toposearch.SearchQuery, error) {
 	var req SearchRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSearchBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return req, toposearch.SearchQuery{}, fmt.Errorf("decoding body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return req, toposearch.SearchQuery{}, errors.New("decoding body: trailing data after the JSON object")
 	}
 	if req.ES1 == "" {
 		req.ES1 = sv.cfg.DefaultES1
@@ -231,13 +237,11 @@ func (sv *Server) decodeSearch(r *http.Request) (SearchRequest, toposearch.Searc
 		return req, toposearch.SearchQuery{}, fmt.Errorf("timeout_ms must be >= 0, got %d", req.TimeoutMs)
 	}
 	q := toposearch.SearchQuery{
-		K:           req.K,
-		Ranking:     req.Ranking,
-		Method:      req.Method,
-		Speculation: req.Speculation,
-		Shards:      req.Shards,
-		PartialOK:   req.PartialOK,
-		Trace:       req.Trace,
+		K:         req.K,
+		Ranking:   req.Ranking,
+		Method:    req.Method,
+		PartialOK: req.PartialOK,
+		Trace:     req.Trace,
 	}
 	for _, c := range req.Cons1 {
 		q.Cons1 = append(q.Cons1, toposearch.Constraint{Column: c.Column, Keyword: c.Keyword, Equals: c.Equals})
@@ -262,7 +266,7 @@ func (sv *Server) timeout(reqMs int64) time.Duration {
 }
 
 func (sv *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	req, q, err := sv.decodeSearch(r)
+	req, q, err := sv.decodeSearch(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", err, "")
 		return
@@ -351,7 +355,6 @@ func (sv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Pruned:     s.PrunedCount(),
 			Stats:      s.Stats(),
 			Cache:      s.CacheStats(),
-			Routing:    s.ShardRouting(),
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")

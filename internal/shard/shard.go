@@ -1,26 +1,9 @@
-// Package shard is the in-process sharded-execution layer: it
-// partitions contiguous position spaces (entity-table rows, the
-// score-ordered group stream) into cost-weighted ranges, and
-// coordinates scatter-gather top-k execution across the resulting
-// shard executors with an early-termination bound exchange.
-//
-// The partitioning side generalizes the equal-count cut points of the
-// parallel scan (ScanRange windows) and speculative-ET segments:
-// Weighted and FromPrefix balance the cuts by per-position cost
-// estimates — the optimizer's per-group cardinalities for group-stream
-// segments, the Tops-table fan-out for entity ranges — so Zipfian skew
-// no longer caps the critical-path speedup at the heaviest range.
-// Every cut is a pure function of its weight profile, so the same
-// store generation always produces the same partition: queries and
-// delta routing can never disagree about which shard owns a position.
-//
-// The Exchange side is the distributed analogue of the paper's
-// early-termination plans: shard executors process disjoint windows of
-// the score-descending stream, so every result a lower shard emits
-// outranks everything a higher shard can still produce. Once the
-// executors below (and including) some shard have emitted k results,
-// the global k-th committed score is unbeatable by every later shard —
-// the Exchange cancels them and lets the boundary shard stop itself.
+// Package shard partitions contiguous position spaces (entity-table
+// rows) into ordered [lo, hi) ranges: equal-count windows for the
+// parallel scan, and weight-balanced entity shards for the result
+// cache's dependency footprints. Every cut is a pure function of its
+// inputs, so the same store generation always produces the same
+// partition.
 package shard
 
 import "sort"
@@ -32,8 +15,7 @@ import "sort"
 type Ranges [][2]int32
 
 // Equal partitions [0, n) into at most w contiguous ranges of nearly
-// equal position count (the PR 2 cut points, kept for uniform weight
-// profiles and as the fallback when no cost estimate exists).
+// equal position count.
 func Equal(n, w int) Ranges {
 	if w > n {
 		w = n
@@ -51,51 +33,11 @@ func Equal(n, w int) Ranges {
 	return out
 }
 
-// Weighted partitions [0, len(weights)) into w contiguous ranges of
-// nearly equal total weight: cut i is placed at the smallest position
-// whose weight prefix reaches i/w of the total. Non-positive weights
-// count as zero; a nil/empty or zero-total profile degenerates to
-// Equal. The cuts are a deterministic function of the weights.
-func Weighted(weights []float64, w int) Ranges {
-	n := len(weights)
-	if w < 1 {
-		w = 1
-	}
-	prefix := make([]float64, n+1)
-	for i, wt := range weights {
-		if wt < 0 {
-			wt = 0
-		}
-		prefix[i+1] = prefix[i] + wt
-	}
-	total := prefix[n]
-	if total <= 0 {
-		return Equal(n, w)
-	}
-	out := make(Ranges, 0, w)
-	lo := 0
-	for i := 1; i <= w; i++ {
-		hi := n
-		if i < w {
-			target := total * float64(i) / float64(w)
-			hi = sort.Search(n, func(j int) bool { return prefix[j+1] >= target })
-			// A zero-weight tail after the target position belongs to
-			// the earlier range; keep cuts monotone.
-			if hi < lo {
-				hi = lo
-			}
-		}
-		out = append(out, [2]int32{int32(lo), int32(hi)})
-		lo = hi
-	}
-	return out
-}
-
 // FromPrefix partitions [0, len(prefix)-1) into w weight-balanced
-// contiguous ranges given a precomputed integer weight prefix-sum
-// array (prefix[0] = 0, prefix[i+1] = prefix[i] + weight_i): the form
-// the store caches per generation so per-query partitioning is two
-// binary searches per cut instead of a weight scan.
+// contiguous ranges given an integer weight prefix-sum array
+// (prefix[0] = 0, prefix[i+1] = prefix[i] + weight_i): cut i lands at
+// the smallest position whose prefix reaches i/w of the total. A
+// nil/empty or zero-total profile degenerates to Equal.
 func FromPrefix(prefix []int64, w int) Ranges {
 	n := len(prefix) - 1
 	if n < 0 {
@@ -117,9 +59,11 @@ func FromPrefix(prefix []int64, w int) Ranges {
 		hi := n
 		if i < w {
 			// total*i stays well inside int64 for any realistic table
-			// (weights are row counts; w is a shard count).
+			// (weights are row counts; w is a bucket count).
 			target := total * int64(i) / int64(w)
 			hi = sort.Search(n, func(j int) bool { return prefix[j+1] >= target })
+			// A zero-weight tail after the target position belongs to
+			// the earlier range; keep cuts monotone.
 			if hi < lo {
 				hi = lo
 			}
@@ -131,9 +75,7 @@ func FromPrefix(prefix []int64, w int) Ranges {
 }
 
 // Find returns the index of the range containing position pos. A
-// position outside the partition's domain clamps to the nearest range
-// (new rows appended after the partition was cut belong to the last
-// shard until the next generation re-cuts).
+// position outside the partition's domain clamps to the nearest range.
 func (r Ranges) Find(pos int32) int {
 	if len(r) == 0 {
 		return 0

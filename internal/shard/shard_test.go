@@ -30,6 +30,15 @@ func checkPartition(t *testing.T, r Ranges, n int) {
 	}
 }
 
+// prefixOf returns the prefix-sum array FromPrefix takes.
+func prefixOf(weights []int64) []int64 {
+	prefix := make([]int64, len(weights)+1)
+	for i, w := range weights {
+		prefix[i+1] = prefix[i] + w
+	}
+	return prefix
+}
+
 func TestEqualPartition(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 17, 100} {
 		for _, w := range []int{1, 2, 3, 8, 200} {
@@ -41,86 +50,117 @@ func TestEqualPartition(t *testing.T) {
 func TestWeightedBalancesSkew(t *testing.T) {
 	// Zipf-like profile: the first positions carry almost all weight.
 	n := 1000
-	weights := make([]float64, n)
-	total := 0.0
+	weights := make([]int64, n)
+	var total int64
 	for i := range weights {
-		weights[i] = 1000.0 / float64(i+1)
+		weights[i] = 1_000_000 / int64(i+1)
 		total += weights[i]
 	}
 	w := 4
-	r := Weighted(weights, w)
+	r := FromPrefix(prefixOf(weights), w)
 	checkPartition(t, r, n)
 	// Every range's weight share must be within 2x of the ideal (the
 	// heaviest single position bounds the achievable balance).
 	for i, rg := range r {
-		share := 0.0
+		var share int64
 		for p := rg[0]; p < rg[1]; p++ {
 			share += weights[p]
 		}
-		if share > 2*total/float64(w) {
-			t.Errorf("range %d %v holds %.1f of %.1f total weight (over 2x the ideal %0.1f)", i, rg, share, total, total/float64(w))
+		if share > 2*total/int64(w) {
+			t.Errorf("range %d %v holds %d of %d total weight (over 2x the ideal %d)", i, rg, share, total, total/int64(w))
 		}
 	}
 	// An equal-count cut would put ~94% of the weight into range 0;
 	// the weighted cut must do much better at the head.
-	head := 0.0
+	var head int64
 	for p := r[0][0]; p < r[0][1]; p++ {
 		head += weights[p]
 	}
-	if head > 0.6*total {
-		t.Errorf("weighted head range still holds %.0f%% of the weight", 100*head/total)
+	if 10*head > 6*total {
+		t.Errorf("weighted head range still holds %d%% of the weight", 100*head/total)
 	}
 }
 
 func TestWeightedDegenerateProfiles(t *testing.T) {
-	checkPartition(t, Weighted(nil, 4), 0)
-	checkPartition(t, Weighted(make([]float64, 10), 4), 10) // all zero -> Equal
-	one := make([]float64, 10)
+	checkPartition(t, FromPrefix(nil, 4), 0)
+	checkPartition(t, FromPrefix(prefixOf(make([]int64, 10)), 4), 10) // all zero -> Equal
+	one := make([]int64, 10)
 	one[7] = 5
-	r := Weighted(one, 3)
+	r := FromPrefix(prefixOf(one), 3)
 	checkPartition(t, r, 10)
 	if got := r.Find(7); r[got][0] > 7 || r[got][1] <= 7 {
 		t.Errorf("Find(7) = %d (%v), does not contain 7", got, r[got])
 	}
 }
 
+// TestFromPrefixMatchesWeighted checks FromPrefix's binary-searched cuts
+// against the weighted cut computed directly from its definition: cut i
+// is the smallest position whose weight prefix reaches i/w of the total,
+// found by a linear walk over the weights.
 func TestFromPrefixMatchesWeighted(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
 		n := rng.Intn(200)
 		w := 1 + rng.Intn(9)
-		ints := make([]int64, n)
-		floats := make([]float64, n)
-		prefix := make([]int64, n+1)
-		for i := range ints {
-			ints[i] = int64(rng.Intn(1000))
-			floats[i] = float64(ints[i])
-			prefix[i+1] = prefix[i] + ints[i]
+		weights := make([]int64, n)
+		var total int64
+		for i := range weights {
+			weights[i] = int64(rng.Intn(1000))
+			total += weights[i]
 		}
-		a := Weighted(floats, w)
-		b := FromPrefix(prefix, w)
-		checkPartition(t, a, n)
-		checkPartition(t, b, n)
-		if len(a) != len(b) {
-			t.Fatalf("trial %d: Weighted %d ranges, FromPrefix %d", trial, len(a), len(b))
+		want := Equal(n, w)
+		if total > 0 {
+			want = make(Ranges, 0, w)
+			lo := 0
+			for i := 1; i <= w; i++ {
+				hi := n
+				if i < w {
+					target := total * int64(i) / int64(w)
+					var sum int64
+					for hi = 0; hi < n; hi++ {
+						if sum += weights[hi]; sum >= target {
+							break
+						}
+					}
+					if hi < lo {
+						hi = lo
+					}
+				}
+				want = append(want, [2]int32{int32(lo), int32(hi)})
+				lo = hi
+			}
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("trial %d range %d: Weighted %v, FromPrefix %v", trial, i, a[i], b[i])
+		got := FromPrefix(prefixOf(weights), w)
+		checkPartition(t, want, n)
+		checkPartition(t, got, n)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: FromPrefix %d ranges, weighted reference %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d range %d: FromPrefix %v, weighted reference %v", trial, i, got[i], want[i])
 			}
 		}
 	}
 }
 
+// TestFindRoundTrip cuts random weight profiles — zero weights included,
+// so some ranges come out empty — and checks that Find maps every
+// position back into its own range and clamps out-of-domain positions
+// to the last one.
 func TestFindRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(300)
-		weights := make([]float64, n)
+		weights := make([]int64, n)
 		for i := range weights {
-			weights[i] = float64(rng.Intn(50))
+			weights[i] = int64(rng.Intn(50))
 		}
-		r := Weighted(weights, 1+rng.Intn(7))
+		w := 1 + rng.Intn(7)
+		r := FromPrefix(prefixOf(weights), w)
+		if len(r) != w {
+			t.Fatalf("trial %d: %d ranges, want %d", trial, len(r), w)
+		}
 		checkPartition(t, r, n)
 		for pos := int32(0); pos < int32(n); pos++ {
 			i := r.Find(pos)
@@ -128,101 +168,8 @@ func TestFindRoundTrip(t *testing.T) {
 				t.Fatalf("trial %d: Find(%d) = range %d %v", trial, pos, i, r[i])
 			}
 		}
-		// Out-of-domain positions clamp to the last range.
 		if got := r.Find(int32(n) + 100); got != len(r)-1 {
 			t.Errorf("trial %d: Find past domain = %d, want %d", trial, got, len(r)-1)
-		}
-	}
-}
-
-// TestExchangeBound replays a deterministic emission schedule and
-// checks the two exchange decisions: later segments are cancelled the
-// moment a prefix covers k, and the boundary segment self-stops.
-func TestExchangeBound(t *testing.T) {
-	const k, n = 3, 4
-	e := NewExchange(k, n)
-	cancelled := make([]bool, n)
-	for i := 0; i < n; i++ {
-		i := i
-		e.Bind(i, func() { cancelled[i] = true })
-	}
-	// Segment 2 emits twice: no prefix covers k yet.
-	if e.Emit(2) || e.Emit(2) {
-		t.Fatal("segment 2 stopped before any prefix covered k")
-	}
-	if e.CancelledCount() != 0 {
-		t.Fatal("cancelled before any prefix covered k")
-	}
-	// Segment 0 emits three times: prefix {0} covers k, so segments
-	// 1..3 are cancelled and segment 0 itself stops.
-	e.Emit(0)
-	e.Emit(0)
-	if !e.Emit(0) {
-		t.Error("segment 0 did not self-stop after covering k alone")
-	}
-	for i := 1; i < n; i++ {
-		if !cancelled[i] {
-			t.Errorf("segment %d not cancelled after prefix covered k", i)
-		}
-	}
-	if cancelled[0] {
-		t.Error("boundary segment 0 was cancelled instead of self-stopping")
-	}
-	if e.CancelledCount() != 3 {
-		t.Errorf("CancelledCount = %d, want 3", e.CancelledCount())
-	}
-}
-
-// TestExchangeNeverStopsEarlySegments drives random schedules and
-// asserts the invariant the sequencer depends on: a segment strictly
-// before the first prefix boundary b (smallest b with
-// sum(emitted[0..b]) >= k) is never told to stop and never cancelled.
-func TestExchangeNeverStopsEarlySegments(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 200; trial++ {
-		k := 1 + rng.Intn(6)
-		n := 2 + rng.Intn(6)
-		e := NewExchange(k, n)
-		cancelled := make([]bool, n)
-		for i := 0; i < n; i++ {
-			i := i
-			e.Bind(i, func() { cancelled[i] = true })
-		}
-		emitted := make([]int, n)
-		for step := 0; step < 40; step++ {
-			seg := rng.Intn(n)
-			if cancelled[seg] {
-				continue
-			}
-			stop := e.Emit(seg)
-			emitted[seg]++
-			// Recompute the boundary from the shadow counts.
-			sum, b := 0, -1
-			for i := 0; i < n; i++ {
-				sum += emitted[i]
-				if sum >= k {
-					b = i
-					break
-				}
-			}
-			if stop && (b < 0 || seg < b) {
-				t.Fatalf("trial %d: segment %d self-stopped with boundary %d (emitted %v, k=%d)", trial, seg, b, emitted, k)
-			}
-			if b >= 0 && !stop && seg >= b {
-				t.Fatalf("trial %d: segment %d past boundary %d not stopped (emitted %v, k=%d)", trial, seg, b, emitted, k)
-			}
-			for i := 0; i <= b; i++ {
-				if b >= 0 && cancelled[i] {
-					t.Fatalf("trial %d: segment %d at or before boundary %d cancelled", trial, i, b)
-				}
-			}
-			if b >= 0 {
-				for i := b + 1; i < n; i++ {
-					if !cancelled[i] {
-						t.Fatalf("trial %d: segment %d past boundary %d not cancelled", trial, i, b)
-					}
-				}
-			}
 		}
 	}
 }

@@ -15,11 +15,10 @@ import (
 func goroutineBaseline() int { return runtime.NumGoroutine() }
 
 // assertNoGoroutineLeak fails the test when goroutines outlive the
-// engine work that spawned them. Worker pools, speculative segment
-// racers, shard executors and cache fills all terminate on their own;
-// the count is polled with a grace period because losers of a
-// speculative race are cancelled asynchronously and can legitimately
-// take a few scheduler rounds to unwind.
+// engine work that spawned them. Worker pools, scan window workers and
+// cache fills all terminate on their own; the count is polled with a
+// grace period because goroutines that have signalled completion can
+// legitimately take a few scheduler rounds to unwind.
 func assertNoGoroutineLeak(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

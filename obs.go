@@ -14,7 +14,7 @@ import (
 // a named, monotonic-clocked span with integer/string attributes and
 // children for the execution stages the query passed through — compile,
 // cache lookup/fill, method dispatch, optimizer choice, scan/join
-// windows, ET segments, shard executors, merges. Render writes the
+// windows, the ET drain, merges. Render writes the
 // text outline `topsearch -trace` prints; the tree also marshals to
 // JSON. Its methods are nil-safe, so code may hold a nil *TraceSpan
 // and call Child/SetInt/End freely.
@@ -52,8 +52,8 @@ func WriteMetricsText(w io.Writer) error { return obs.Default().WritePrometheus(
 // WriteMetricsJSON writes every metric as an indented JSON snapshot.
 func WriteMetricsJSON(w io.Writer) error { return obs.Default().WriteJSON(w) }
 
-// Engine-wide metric families. The per-event families (cache, shard,
-// speculation, refresh tables) live next to their event sites in
+// Engine-wide metric families. The per-event families (cache, refresh
+// tables) live next to their event sites in
 // internal/methods; these are the searcher/DB-level ones.
 var (
 	obsQueryDur = obs.Default().HistogramVec("toposearch_query_duration_seconds",
@@ -79,7 +79,7 @@ var (
 	obsSearcherWaiting = obs.Default().GaugeVec("toposearch_searcher_waiting",
 		"Search calls queued for an admission slot, per searcher.", "searcher")
 	obsSearcherAdmission = obs.Default().CounterVec("toposearch_searcher_admission_total",
-		"Admission outcomes per searcher: admitted, degraded (ran with speculation/shards clamped), rejected (shed with ErrOverloaded), canceled (context expired while queued).",
+		"Admission outcomes per searcher: admitted, degraded (admitted after waiting in the queue), rejected (shed with ErrOverloaded), canceled (context expired while queued).",
 		"searcher", "outcome")
 	obsSearcherPanics = obs.Default().CounterVec("toposearch_searcher_panics_contained_total",
 		"Panics recovered into EnginePanicError by Search/Refresh, per searcher.", "searcher")

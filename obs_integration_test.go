@@ -1,11 +1,10 @@
 // Observability integration tests: traced execution must be
-// byte-identical to untraced execution across the
-// parallelism x speculation x shards grid, the /metrics endpoint must
-// serve valid Prometheus text covering every engine family, metric
-// writes must be race-free under concurrent Search/ApplyBatch/Refresh
-// with live scrapes, and SearcherStats must stay a faithful snapshot
-// of the registry-backed counters through Close (CI runs these via
-// -run Obs).
+// byte-identical to untraced execution at parallelism 1, 4 and 8, the
+// /metrics endpoint must serve valid Prometheus text covering every
+// engine family, metric writes must be race-free under concurrent
+// Search/ApplyBatch/Refresh with live scrapes, and SearcherStats must
+// stay a faithful snapshot of the registry-backed counters through
+// Close (CI runs these via -run Obs).
 package toposearch_test
 
 import (
@@ -69,32 +68,28 @@ func buildObsStore(t *testing.T, seed int64) (*methods.Store, *rand.Rand) {
 // only observe, they never steer execution.
 func TestObsTraceEquivalence(t *testing.T) {
 	st, rng := buildObsStore(t, 5)
-	type gridCfg struct{ par, spec, shards int }
-	grid := []gridCfg{
-		{1, 1, 1}, {4, 2, 1}, {4, 8, 1}, {1, 1, 2}, {4, 2, 4},
-	}
 	for qi, q := range randomQueries(t, rng, st, 2) {
 		for _, m := range methods.AllMethods() {
 			mq := q
 			if m == methods.MethodSQL || m == methods.MethodFullTop || m == methods.MethodFastTop {
 				mq.K, mq.Ranking = 0, ""
 			}
-			for _, g := range grid {
+			for _, par := range []int{1, 4, 8} {
 				plain := mq
-				plain.Parallelism, plain.Speculation, plain.Shards = g.par, g.spec, g.shards
+				plain.Parallelism = par
 				want, err := st.Run(m, plain)
 				if err != nil {
-					t.Fatalf("q%d %s p=%d s=%d sh=%d untraced: %v", qi, m, g.par, g.spec, g.shards, err)
+					t.Fatalf("q%d %s p=%d untraced: %v", qi, m, par, err)
 				}
 				traced := plain
 				root := obs.NewTrace("test")
 				traced.Trace = root
 				got, err := st.Run(m, traced)
 				if err != nil {
-					t.Fatalf("q%d %s p=%d s=%d sh=%d traced: %v", qi, m, g.par, g.spec, g.shards, err)
+					t.Fatalf("q%d %s p=%d traced: %v", qi, m, par, err)
 				}
 				root.End()
-				tag := fmt.Sprintf("q%d %s k=%d p=%d s=%d sh=%d", qi, m, mq.K, g.par, g.spec, g.shards)
+				tag := fmt.Sprintf("q%d %s k=%d p=%d", qi, m, mq.K, par)
 				if gi, wi := itemsString(got.Items), itemsString(want.Items); gi != wi {
 					t.Errorf("%s: traced items %s diverge from untraced %s", tag, gi, wi)
 				}
@@ -122,7 +117,7 @@ func TestObsPublicTracedSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := db.NewSearcherContext(ctx, toposearch.Protein, toposearch.DNA, toposearch.SearcherConfig{
-		MaxLen: 3, PruneThreshold: 8, MaxCombinations: 2048, Parallelism: 4, Speculation: 2, Shards: 2,
+		MaxLen: 3, PruneThreshold: 8, MaxCombinations: 2048, Parallelism: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +126,7 @@ func TestObsPublicTracedSearch(t *testing.T) {
 	for _, q := range []toposearch.SearchQuery{
 		{K: 5, Method: "fast-top-k-et"},
 		{K: 3, Method: "fast-top-k-opt", Cons2: []toposearch.Constraint{{Column: "type", Equals: "mRNA"}}},
-		{Method: "fast-top", Shards: 2},
+		{Method: "fast-top"},
 	} {
 		// Traced first: the untraced repeat then answers from the cache,
 		// proving the cached value never carries the filler's trace.
@@ -278,16 +273,16 @@ func TestObsMetricsEndpoint(t *testing.T) {
 	}
 	s, err := db.NewSearcherContext(ctx, toposearch.Protein, toposearch.DNA, toposearch.SearcherConfig{
 		MaxLen: 3, PruneThreshold: 8, MaxCombinations: 2048,
-		Parallelism: 4, Speculation: 2, Shards: 2, MaxInflight: 4,
+		Parallelism: 4, MaxInflight: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	for _, q := range []toposearch.SearchQuery{
-		{K: 5, Method: "fast-top-k-et", Speculation: 2},
-		{K: 5, Method: "fast-top-k-et", Speculation: 2}, // cache hit
-		{Method: "fast-top", Shards: 2},
+		{K: 5, Method: "fast-top-k-et"},
+		{K: 5, Method: "fast-top-k-et"}, // cache hit
+		{Method: "fast-top"},
 		{K: 3, Method: "fast-top-k-opt"},
 	} {
 		if _, err := s.SearchContext(ctx, q); err != nil {
@@ -329,8 +324,6 @@ func TestObsMetricsEndpoint(t *testing.T) {
 		"toposearch_searcher_admission_total",     // admission control
 		"toposearch_cache_events_total",           // result cache
 		"toposearch_cache_resident_bytes",         // cache footprint
-		"toposearch_shard_executors_total",        // sharded execution
-		"toposearch_spec_segments_total",          // speculation
 		"toposearch_refresh_duration_seconds_sum", // refresh latency
 		"toposearch_refresh_tables_total",         // diff materializer
 		"toposearch_apply_mutations_total",        // batch apply
@@ -398,7 +391,7 @@ func TestObsConcurrentScrapeHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := db.NewSearcherContext(ctx, toposearch.Protein, toposearch.DNA, toposearch.SearcherConfig{
-		MaxLen: 3, PruneThreshold: 8, MaxCombinations: 2048, Parallelism: 4, Speculation: 2, Shards: 2,
+		MaxLen: 3, PruneThreshold: 8, MaxCombinations: 2048, Parallelism: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -407,7 +400,7 @@ func TestObsConcurrentScrapeHammer(t *testing.T) {
 	queries := []toposearch.SearchQuery{
 		{K: 5, Method: "fast-top-k-et", Trace: true},
 		{K: 3, Method: "fast-top-k-opt", Cons2: []toposearch.Constraint{{Column: "type", Equals: "mRNA"}}},
-		{Method: "fast-top", Shards: 2},
+		{Method: "fast-top"},
 	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -21,8 +21,8 @@ import (
 )
 
 // EnginePanicError is the typed containment of a panic that occurred
-// inside the engine — in a speculative segment worker, a shard
-// executor, an offline-computation worker, a cache fill, or a refresh.
+// inside the engine — in a query's scan window worker, an
+// offline-computation worker, a cache fill, or a refresh.
 // Panics never escape Search/Refresh or kill sibling queries; they
 // surface as an error carrying the containment site, the panic value,
 // and the goroutine stack. When the panic value was itself an error
@@ -66,26 +66,6 @@ type SearcherConfig struct {
 	// The precomputed tables AND every query result are byte-identical
 	// at every setting.
 	Parallelism int
-	// Speculation is the default speculative ET width for queries that
-	// leave SearchQuery.Speculation at 0: early-termination plans
-	// partition their score-ordered group stream into this many
-	// contiguous segments racing on their own workers, cancelling
-	// losers the moment the k-th witness commits. 0 and 1 keep the
-	// classical sequential stack. Results (items, plans, useful-work
-	// counters) are byte-identical at every setting; only latency and
-	// the wasted-work report change.
-	Speculation int
-	// Shards is the default scatter-gather shard count for queries that
-	// leave SearchQuery.Shards at 0: the searcher partitions its start-
-	// entity space (and the ET plans' group stream) into this many
-	// contiguous cost-weighted ranges, runs one executor per shard, and
-	// merges the per-shard top-k streams — ET shards additionally
-	// exchanging the global k-th bound so a shard stops once results
-	// emitted below it already cover the top k. Delta batches route to
-	// shards by the same partition function, keeping sharded and
-	// single-store runs equivalent. 0 and 1 keep single-store
-	// execution. Results are byte-identical at every shard count.
-	Shards int
 	// CacheBytes bounds the searcher's generation-tagged query result
 	// cache: repeated queries between mutation batches become O(1)
 	// lookups, and Refresh carries entries whose dependency footprint is
@@ -96,12 +76,11 @@ type SearcherConfig struct {
 	CacheBytes int64
 	// MaxInflight bounds how many Search calls may execute
 	// concurrently (0 = unbounded). A query arriving while all slots
-	// are busy first degrades — its speculative width and shard count
-	// are clamped to 1, which never changes results — and waits in a
-	// bounded queue for a slot; only when the queue itself is full (or
+	// are busy waits in a bounded queue for a slot and then runs exactly
+	// as an unqueued one would; only when the queue itself is full (or
 	// the wait exceeds QueueTimeout) is it rejected with ErrOverloaded.
 	MaxInflight int
-	// MaxQueue bounds how many degraded queries may wait for an
+	// MaxQueue bounds how many queries may wait for an
 	// admission slot before new arrivals are rejected with
 	// ErrOverloaded (0 = unbounded queue). Only meaningful with
 	// MaxInflight > 0.
@@ -132,9 +111,7 @@ func DefaultSearcherConfig() SearcherConfig {
 // new generation (recomputing only the affected start-node frontier)
 // and swaps it in; queries already running finish on the old one.
 type Searcher struct {
-	db     *DB
-	spec   int // default speculative ET width for queries
-	shards int // default scatter-gather shard count for queries
+	db *DB
 
 	store atomic.Pointer[methods.Store]
 
@@ -146,11 +123,10 @@ type Searcher struct {
 	cache       *methods.ResultCache
 	cacheRanges shard.Ranges
 
-	refreshMu   sync.Mutex // serializes Refresh
-	cursor      int        // applied-edge log position this searcher has absorbed
-	closed      bool
-	lastRouting []int                // per-shard affected-start counts of the last sharded Refresh
-	lastDiff    *methods.RefreshDiff // materializer outcome of the last full Refresh
+	refreshMu sync.Mutex // serializes Refresh
+	cursor    int        // applied-edge log position this searcher has absorbed
+	closed    bool
+	lastDiff  *methods.RefreshDiff // materializer outcome of the last full Refresh
 
 	// lifecycle lets Close drain in-flight queries: every Search holds
 	// the read side for its duration, Close takes the write side
@@ -179,8 +155,8 @@ type SearcherStats struct {
 	Inflight, Waiting int64
 	// Admitted, Rejected and Degraded count admission outcomes:
 	// queries that got a slot, queries shed with ErrOverloaded, and
-	// queries that ran with speculation/sharding clamped to 1 because
-	// they arrived under contention. Zero when MaxInflight is 0.
+	// admitted queries that first waited in the queue because they
+	// arrived under contention. Zero when MaxInflight is 0.
 	Admitted, Rejected, Degraded int64
 	// Canceled counts queries whose context expired while they waited
 	// in the admission queue: they left without a slot and without
@@ -241,7 +217,7 @@ func (db *DB) NewSearcherContext(ctx context.Context, es1, es2 string, cfg Searc
 	// the same critical section: from this moment the applied-edge log
 	// must retain everything at or after it until the searcher
 	// refreshes past it or closes.
-	s := &Searcher{db: db, spec: cfg.Speculation, shards: cfg.Shards}
+	s := &Searcher{db: db}
 	s.sid, s.met = newSearcherMetrics(es1, es2)
 	if cfg.MaxInflight > 0 {
 		s.admit = make(chan struct{}, cfg.MaxInflight)
@@ -380,30 +356,6 @@ func (s *Searcher) RefreshContext(ctx context.Context) (n int, err error) {
 		return 0, nil
 	}
 	affected := delta.AffectedStarts(g, st.ES1, st.Cfg.Opts.EffectiveMaxLen(), edges)
-	if s.shards > 1 {
-		// Route the affected frontier to shards by the SAME partition
-		// function sharded queries cut their entity ranges with, then
-		// refresh every shard's share. The routed maps are disjoint with
-		// union equal to the frontier, so folding them back together
-		// recomputes exactly the affected set — one new generation, with
-		// per-shard routing recorded for observability. Entities the
-		// current generation doesn't know yet (this batch inserted them)
-		// clamp to the last shard until the new generation re-cuts.
-		routed := delta.RouteStarts(affected, s.shards, func(n graph.NodeID) int {
-			return st.ShardOfEntity(int64(n), s.shards)
-		})
-		s.lastRouting = make([]int, len(routed))
-		merged := make(map[graph.NodeID]bool, len(affected))
-		for i, m := range routed {
-			s.lastRouting[i] = len(m)
-			for n := range m {
-				merged[n] = true
-			}
-		}
-		affected = merged
-	} else {
-		s.lastRouting = nil
-	}
 	ns, diff, err := st.RefreshDiff(ctx, g, affected)
 	if err != nil {
 		return 0, err
@@ -448,15 +400,6 @@ func (s *Searcher) CacheStats() methods.CacheStats {
 	return s.cache.Stats()
 }
 
-// ShardRouting reports, per shard, how many affected start entities
-// the last sharded Refresh routed to it (nil when the searcher is
-// unsharded or has not refreshed since going sharded).
-func (s *Searcher) ShardRouting() []int {
-	s.refreshMu.Lock()
-	defer s.refreshMu.Unlock()
-	return append([]int(nil), s.lastRouting...)
-}
-
 // advanceCursor records that this searcher has absorbed the log up to
 // cursor, both locally and in the DB's registry, and lets the DB drop
 // log entries no live searcher needs anymore.
@@ -481,14 +424,6 @@ type SearchQuery struct {
 	// nine method names, e.g. "fast-top-k-opt"). Empty picks
 	// fast-top-k-opt for top-k queries and fast-top otherwise.
 	Method string
-	// Speculation overrides the searcher's default speculative ET
-	// width for this query (0 = inherit SearcherConfig.Speculation;
-	// 1 = force the sequential stack).
-	Speculation int
-	// Shards overrides the searcher's default scatter-gather shard
-	// count for this query (0 = inherit SearcherConfig.Shards;
-	// 1 = force single-store execution).
-	Shards int
 	// Deadline bounds the query's execution time. 0 means no bound.
 	// When the deadline expires the query fails with
 	// context.DeadlineExceeded — unless PartialOK is set, in which case
@@ -501,7 +436,7 @@ type SearchQuery struct {
 	PartialOK bool
 	// Trace collects a span tree of this query's execution —
 	// compile, cache lookup/fill, method dispatch, optimizer choice,
-	// scan/join windows, ET segments, shard executors, merges — into
+	// scan/join windows, the ET drain, merges — into
 	// SearchResult.Trace: the engine's EXPLAIN ANALYZE. Tracing records
 	// timings and counter attributes only; the result's topologies and
 	// work counters are byte-identical to an untraced run. Independent
@@ -528,20 +463,11 @@ type SearchResult struct {
 	Method string
 	// Plan is the physical strategy the optimizer chose (Opt methods).
 	Plan string
-	// Speculation is the speculative ET width the query ran with (0 =
-	// no speculation). Speculation changes only latency, never results.
-	Speculation int
 	// WastedWork is the physical work (rows scanned + index probes)
-	// burned by losing speculative segment workers; useful work is
-	// byte-identical to a sequential run.
+	// the parallel pruned-topology merge burned on existence checks the
+	// sequential loop would have skipped; useful work is byte-identical
+	// to a sequential run.
 	WastedWork int64
-	// Shards is the scatter-gather shard count the query ran with (0 =
-	// single-store execution). Sharding changes only latency and the
-	// per-shard accounting below, never results.
-	Shards int
-	// ShardStats holds one entry per shard executor, in partition
-	// order (nil when Shards is 0).
-	ShardStats []ShardStat
 	// CacheHit reports the result came from the searcher's result cache
 	// (or a collapsed concurrent computation) instead of a method run.
 	// The topologies are byte-identical to a fresh execution; Method,
@@ -550,37 +476,16 @@ type SearchResult struct {
 	CacheHit bool
 	// Partial reports that the query's Deadline expired with PartialOK
 	// set: Topologies holds the ranked results produced before the
-	// cut — a subset of the full answer. Per-shard completeness is in
-	// ShardStats.
+	// cut — a subset of the full answer.
 	Partial bool
-	// Degraded reports that admission control clamped this query's
-	// speculation and sharding to 1 because it arrived while all
-	// MaxInflight slots were busy. Results are unaffected.
+	// Degraded reports that admission control queued this query because
+	// it arrived while all MaxInflight slots were busy. It then ran
+	// exactly as an unqueued query would.
 	Degraded bool
 	// Trace is the execution span tree, present iff SearchQuery.Trace
 	// was set. On a cache hit it holds the lookup path only (the work
 	// spans belong to the query that filled the entry).
 	Trace *TraceSpan
-}
-
-// ShardStat is one shard executor's share of a sharded Search.
-type ShardStat struct {
-	// Shard is the executor's index in partition order.
-	Shard int
-	// Work is the physical work the shard burned (rows scanned + index
-	// probes), useful or not.
-	Work int64
-	// Witnesses is the number of results the shard produced before the
-	// global merge.
-	Witnesses int
-	// Pruned reports that the global bound exchange stopped the shard
-	// early: results emitted below it already covered the top k.
-	Pruned bool
-	// Complete reports the shard ran its window to the end (or was
-	// legitimately stopped by the bound exchange or the top-k commit)
-	// rather than being cut off by the query deadline. Always true for
-	// non-partial results.
-	Complete bool
 }
 
 func (q SearchQuery) method() string {
@@ -612,16 +517,7 @@ func (s *Searcher) compileQuery(st *methods.Store, q SearchQuery) (methods.Query
 	if err != nil {
 		return methods.Query{}, err
 	}
-	mq := methods.Query{Pred1: p1, Pred2: p2, K: q.K, Ranking: q.ranking()}
-	mq.Speculation = q.Speculation
-	if mq.Speculation == 0 {
-		mq.Speculation = s.spec
-	}
-	mq.Shards = q.Shards
-	if mq.Shards == 0 {
-		mq.Shards = s.shards
-	}
-	return mq, nil
+	return methods.Query{Pred1: p1, Pred2: p2, K: q.K, Ranking: q.ranking()}, nil
 }
 
 // Search runs the query and returns the matching topologies.
@@ -631,11 +527,9 @@ func (s *Searcher) Search(q SearchQuery) (*SearchResult, error) {
 
 // acquire admits one Search call under the MaxInflight bound. The fast
 // path takes a free slot immediately; under contention the query joins
-// the bounded wait queue and — once admitted — runs degraded
-// (speculation and sharding clamped to 1, which never changes
-// results). The queue overflowing, or the wait exceeding QueueTimeout,
-// rejects with ErrOverloaded. release is non-nil exactly when err is
-// nil.
+// the bounded wait queue and is admitted as degraded (queued). The
+// queue overflowing, or the wait exceeding QueueTimeout, rejects with
+// ErrOverloaded. release is non-nil exactly when err is nil.
 func (s *Searcher) acquire(ctx context.Context) (degraded bool, release func(), err error) {
 	if s.admit == nil {
 		return false, func() {}, nil
@@ -745,9 +639,6 @@ func (s *Searcher) SearchContext(ctx context.Context, q SearchQuery) (res *Searc
 	if err != nil {
 		return nil, err
 	}
-	if degraded {
-		mq.Speculation, mq.Shards = 1, 1
-	}
 	m := q.method()
 	// finishTrace seals the span tree onto a successful result. Traced
 	// or not, the work performed is identical — spans only record
@@ -853,14 +744,7 @@ func (s *Searcher) execSearch(ctx context.Context, st *methods.Store, m string, 
 		return nil, err
 	}
 	out := &SearchResult{Method: m, Plan: res.Plan.String(),
-		Speculation: res.Spec.Width, WastedWork: res.Spec.Wasted.Work(),
-		Shards: res.Shard.Count, Partial: res.Partial}
-	for _, st := range res.Shard.Stats {
-		out.ShardStats = append(out.ShardStats, ShardStat{
-			Shard: st.Shard, Work: st.Work, Witnesses: st.Witnesses, Pruned: st.Pruned,
-			Complete: st.Complete,
-		})
-	}
+		WastedWork: res.Wasted.Work(), Partial: res.Partial}
 	pd := st.Res.Pair(st.ES1, st.ES2)
 	for _, it := range res.Items {
 		info := st.Res.Reg.Info(it.TID)
@@ -892,8 +776,8 @@ func (s *Searcher) epochSettled() int {
 
 // searchCacheKey canonicalizes the result-identity part of the query:
 // resolved method and ranking, k, and the sorted constraint renderings.
-// Latency-only knobs (Speculation, Shards, the searcher's parallelism)
-// never enter the key — results are byte-identical across them.
+// The latency-only parallelism setting never enters the key — results
+// are byte-identical across it.
 func searchCacheKey(q SearchQuery) string {
 	return methods.CacheKey(q.method(), q.ranking(), q.K, renderCons(q.Cons1), renderCons(q.Cons2))
 }
@@ -915,7 +799,6 @@ func renderCons(cons []Constraint) []string {
 func (r *SearchResult) clone() *SearchResult {
 	cp := *r
 	cp.Topologies = append([]TopologyResult(nil), r.Topologies...)
-	cp.ShardStats = append([]ShardStat(nil), r.ShardStats...)
 	return &cp
 }
 
@@ -927,7 +810,6 @@ func (r *SearchResult) approxBytes() int64 {
 	for _, t := range r.Topologies {
 		b += int64(72 + len(t.Structure))
 	}
-	b += int64(32 * len(r.ShardStats))
 	return b
 }
 

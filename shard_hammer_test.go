@@ -9,13 +9,15 @@ import (
 	"toposearch"
 )
 
-// TestShardConcurrentSearchRefreshHammer races sharded scatter-gather
-// searches against live batch application, incremental refreshes and
-// compactions (run under -race in CI): every query must keep
-// succeeding on one consistent store generation — no torn generation
-// between the shard executors of a single query — while the delta
-// router keeps feeding updates through the same partition function the
-// queries shard by.
+// TestShardConcurrentSearchRefreshHammer races entity-partitioned work
+// against live batch application, incremental refreshes and
+// compactions (run under -race in CI): scan methods cut the driving
+// entity scan into one window per query worker, and the result cache
+// keys every entry's dependency footprint by the weighted entity
+// buckets the refresh invalidates through. Every query must keep
+// succeeding on one consistent store generation, and afterwards the
+// cached, windowed searcher must answer exactly as a fresh sequential
+// searcher with the cache off.
 func TestShardConcurrentSearchRefreshHammer(t *testing.T) {
 	defer assertNoGoroutineLeak(t, goroutineBaseline())
 	ctx := context.Background()
@@ -26,15 +28,16 @@ func TestShardConcurrentSearchRefreshHammer(t *testing.T) {
 	db.SetAutoCompact(0.25)
 	s, err := db.NewSearcherContext(ctx, toposearch.Protein, toposearch.DNA, toposearch.SearcherConfig{
 		MaxLen: 3, PruneThreshold: 8, MaxCombinations: 2048,
-		Parallelism: 4, Speculation: 2, Shards: 3,
+		Parallelism: 4, CacheBytes: 1 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	queries := []toposearch.SearchQuery{
-		{K: 5, Method: "fast-top-k-et", Cons1: []toposearch.Constraint{{Column: "desc", Keyword: "kwsel50"}}},
-		{K: 3, Method: "full-top-k-et", Shards: 4},
-		{K: 8, Method: "fast-top-k", Cons2: []toposearch.Constraint{{Column: "type", Equals: "mRNA"}}},
+		{K: 5, Method: "fast-top-k", Cons1: []toposearch.Constraint{{Column: "desc", Keyword: "kwsel50"}}},
+		{Method: "full-top"},
+		{K: 8, Method: "full-top-k", Cons2: []toposearch.Constraint{{Column: "type", Equals: "mRNA"}}},
 	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -52,15 +55,11 @@ func TestShardConcurrentSearchRefreshHammer(t *testing.T) {
 				}
 				res, err := s.SearchContext(ctx, q)
 				if err != nil {
-					t.Errorf("sharded search during live update: %v", err)
+					t.Errorf("windowed search during live update: %v", err)
 					return
 				}
 				if len(res.Topologies) == 0 {
-					t.Error("sharded search returned no topologies during live update")
-					return
-				}
-				if res.Shards > 1 && len(res.ShardStats) != res.Shards {
-					t.Errorf("sharded search reported %d shard stats for %d shards", len(res.ShardStats), res.Shards)
+					t.Error("windowed search returned no topologies during live update")
 					return
 				}
 			}
@@ -81,33 +80,28 @@ func TestShardConcurrentSearchRefreshHammer(t *testing.T) {
 		if _, err := s.RefreshContext(ctx); err != nil {
 			t.Fatal(err)
 		}
-		routing := s.ShardRouting()
-		if len(routing) != 3 {
-			t.Fatalf("round %d: delta routing has %d shards, want 3", i, len(routing))
-		}
-		total := 0
-		for _, c := range routing {
-			total += c
-		}
-		if total == 0 {
-			t.Fatalf("round %d: delta routing assigned no affected starts to any shard", i)
-		}
 	}
 	close(stop)
 	wg.Wait()
 
-	// The hammered searcher still answers identically to single-store
-	// sequential settings — Shards: 1 overrides the searcher default.
-	base := toposearch.SearchQuery{K: 5, Method: "fast-top-k-et", Speculation: 1, Shards: 1}
-	want, err := s.SearchContext(ctx, base)
+	fresh, err := db.NewSearcherContext(ctx, toposearch.Protein, toposearch.DNA, toposearch.SearcherConfig{
+		MaxLen: 3, PruneThreshold: 8, MaxCombinations: 2048, Parallelism: 1, CacheBytes: -1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.SearchContext(ctx, toposearch.SearchQuery{K: 5, Method: "fast-top-k-et", Speculation: 4, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(want.Topologies) != fmt.Sprint(got.Topologies) {
-		t.Fatalf("sharded result diverges after hammer:\n got %v\nwant %v", got.Topologies, want.Topologies)
+	defer fresh.Close()
+	for _, q := range queries {
+		want, err := fresh.SearchContext(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.SearchContext(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(want.Topologies) != fmt.Sprint(got.Topologies) {
+			t.Fatalf("%s diverges from a fresh sequential build after the hammer:\n got %v\nwant %v", q.Method, got.Topologies, want.Topologies)
+		}
 	}
 }

@@ -1,11 +1,10 @@
 // Randomized cross-method equivalence harness: seeded random databases
-// and query mixes, every evaluation method, across the
-// parallelism x speculation x shards grid. Items, counter totals and
-// plan choices must be byte-identical to the single-store sequential
-// baseline at every setting — this is the gate that lets speculative
-// parallel ET and scatter-gather sharding (and any future execution
-// strategy) ship without golden files for every workload shape (CI
-// runs it via -run SpecEquivalence).
+// and query mixes, every evaluation method, at several query
+// parallelism settings. The one-worker sequential run is the
+// specification: items, counter totals and plan choices must be
+// byte-identical to it at every setting — this is the gate that lets
+// any execution strategy ship without golden files for every workload
+// shape (CI runs it via -run SpecEquivalence).
 package toposearch_test
 
 import (
@@ -67,26 +66,13 @@ func TestSpecEquivalenceRandomized(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
-	type gridCfg struct{ par, spec, shards int }
-	var grid []gridCfg
-	for _, par := range []int{1, 4, 8} {
-		for _, spec := range []int{1, 2, 8} {
-			grid = append(grid, gridCfg{par, spec, 1})
-		}
-	}
-	// Sharded executions join the same gate: scatter-gather across
-	// cost-weighted entity shards, alone and stacked on top of query
-	// workers and speculation.
-	for _, shards := range []int{2, 4} {
-		grid = append(grid, gridCfg{1, 1, shards}, gridCfg{4, 2, shards})
-	}
 	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			cfg := biozon.DefaultConfig(1)
 			cfg.Seed = seed
-			// Third-size database: the grid runs every method 9 times
+			// Third-size database: the gate runs every method 3 times
 			// per query, and the SQL strawman's from-scratch
 			// per-candidate enumeration has to stay tractable even for
 			// unselective predicate draws.
@@ -117,22 +103,19 @@ func TestSpecEquivalenceRandomized(t *testing.T) {
 						mq.K, mq.Ranking = 0, ""
 					}
 					base := mq
-					base.Parallelism, base.Speculation = 1, 1
+					base.Parallelism = 1
 					want, err := st.Run(m, base)
 					if err != nil {
 						t.Fatalf("q%d %s baseline: %v", qi, m, err)
 					}
-					for _, g := range grid {
-						if g.par == 1 && g.spec == 1 && g.shards == 1 {
-							continue
-						}
+					for _, par := range []int{4, 8} {
 						run := mq
-						run.Parallelism, run.Speculation, run.Shards = g.par, g.spec, g.shards
+						run.Parallelism = par
 						got, err := st.Run(m, run)
 						if err != nil {
-							t.Fatalf("q%d %s p=%d s=%d sh=%d: %v", qi, m, g.par, g.spec, g.shards, err)
+							t.Fatalf("q%d %s p=%d: %v", qi, m, par, err)
 						}
-						tag := fmt.Sprintf("q%d %s hdgj=%v k=%d p=%d s=%d sh=%d", qi, m, mq.UseHDGJ, mq.K, g.par, g.spec, g.shards)
+						tag := fmt.Sprintf("q%d %s hdgj=%v k=%d p=%d", qi, m, mq.UseHDGJ, mq.K, par)
 						if gi, wi := itemsString(got.Items), itemsString(want.Items); gi != wi {
 							t.Errorf("%s: items %s diverge from baseline %s", tag, gi, wi)
 						}
@@ -149,11 +132,11 @@ func TestSpecEquivalenceRandomized(t *testing.T) {
 	}
 }
 
-// TestSpecConcurrentSearchRefreshHammer races speculative-ET searches
+// TestSpecConcurrentSearchRefreshHammer races parallel searches — scan
+// windows, ET drains and pruned-topology merges on 4 query workers —
 // against live batch application, incremental refreshes and
 // compactions (run under -race in CI): every query must keep
-// succeeding on a consistent store generation while the speculation
-// machinery spawns and cancels segment workers.
+// succeeding on one consistent store generation.
 func TestSpecConcurrentSearchRefreshHammer(t *testing.T) {
 	defer assertNoGoroutineLeak(t, goroutineBaseline())
 	ctx := context.Background()
@@ -163,14 +146,14 @@ func TestSpecConcurrentSearchRefreshHammer(t *testing.T) {
 	}
 	db.SetAutoCompact(0.25)
 	s, err := db.NewSearcherContext(ctx, toposearch.Protein, toposearch.DNA, toposearch.SearcherConfig{
-		MaxLen: 3, PruneThreshold: 8, MaxCombinations: 2048, Parallelism: 4, Speculation: 4,
+		MaxLen: 3, PruneThreshold: 8, MaxCombinations: 2048, Parallelism: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	queries := []toposearch.SearchQuery{
 		{K: 5, Method: "fast-top-k-et", Cons1: []toposearch.Constraint{{Column: "desc", Keyword: "kwsel50"}}},
-		{K: 3, Method: "full-top-k-et", Speculation: 8},
+		{K: 3, Method: "full-top-k-et"},
 		{K: 8, Method: "fast-top-k-opt", Cons2: []toposearch.Constraint{{Column: "type", Equals: "mRNA"}}},
 	}
 	var wg sync.WaitGroup
@@ -189,11 +172,11 @@ func TestSpecConcurrentSearchRefreshHammer(t *testing.T) {
 				}
 				res, err := s.SearchContext(ctx, q)
 				if err != nil {
-					t.Errorf("speculative search during live update: %v", err)
+					t.Errorf("search during live update: %v", err)
 					return
 				}
 				if len(res.Topologies) == 0 {
-					t.Error("speculative search returned no topologies during live update")
+					t.Error("search returned no topologies during live update")
 					return
 				}
 			}
@@ -219,17 +202,25 @@ func TestSpecConcurrentSearchRefreshHammer(t *testing.T) {
 	wg.Wait()
 
 	// The hammered searcher still answers identically to a freshly
-	// built one at sequential settings.
-	q := toposearch.SearchQuery{K: 5, Method: "fast-top-k-et", Speculation: 1}
-	want, err := s.SearchContext(ctx, q)
+	// built one.
+	fresh, err := db.NewSearcherContext(ctx, toposearch.Protein, toposearch.DNA, toposearch.SearcherConfig{
+		MaxLen: 3, PruneThreshold: 8, MaxCombinations: 2048, Parallelism: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.SearchContext(ctx, toposearch.SearchQuery{K: 5, Method: "fast-top-k-et", Speculation: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(want.Topologies) != fmt.Sprint(got.Topologies) {
-		t.Fatalf("speculative result diverges after hammer:\n got %v\nwant %v", got.Topologies, want.Topologies)
+	defer fresh.Close()
+	for _, q := range queries {
+		want, err := fresh.SearchContext(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.SearchContext(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(want.Topologies) != fmt.Sprint(got.Topologies) {
+			t.Fatalf("%s diverges from a fresh build after the hammer:\n got %v\nwant %v", q.Method, got.Topologies, want.Topologies)
+		}
 	}
 }

@@ -21,19 +21,15 @@
 // methods from the paper's experiments.
 //
 // Both phases run on worker pools (SearcherConfig.Parallelism; results
-// are byte-identical at every setting): the offline computation shards
-// start nodes, and each query shards its driving entity scan and the
-// pruned-topology existence checks. The early-termination plans
-// parallelize by speculation instead (SearcherConfig.Speculation /
-// SearchQuery.Speculation): contiguous segments of the score-ordered
-// group stream race on their own workers, witnesses commit in
-// canonical order, and losers are cancelled at the k-th commit —
-// again with byte-identical results and useful-work counters. A built
+// are byte-identical at every setting): the offline computation splits
+// start nodes across workers, and each query splits its driving entity
+// scan and the pruned-topology existence checks. The early-termination
+// plans are sequential by design: one pass over the score-ordered
+// group stream that stops once k groups have a witness. A built
 // Searcher is safe for concurrent queries. Both phases are also
-// cancellable:
-// NewSearcherContext aborts the topology computation at start-node
-// granularity, and SearchContext aborts running query plans, each
-// returning the context's error.
+// cancellable: NewSearcherContext aborts the topology computation at
+// start-node granularity, and SearchContext aborts running query
+// plans, each returning the context's error.
 //
 // The database is live: DB.Insert/DB.ApplyBatch absorb new entities
 // and relationships while searches keep running (delta columns over

@@ -348,9 +348,9 @@ func TestServeSheddingAndDeadlines(t *testing.T) {
 	}
 
 	// Deadline cut with partial_ok on an ET plan: the engine returns the
-	// committed prefix -> 200 with partial=true. A segment delay makes
-	// the query reliably outlive its deadline.
-	if err := fault.Enable(1, fault.Rule{Point: "engine.segment", Delay: 600 * time.Millisecond, DelayOnly: true}); err != nil {
+	// witnesses emitted so far -> 200 with partial=true. A delay before
+	// the ET drain makes the query reliably outlive its deadline.
+	if err := fault.Enable(1, fault.Rule{Point: "methods.et", Delay: 600 * time.Millisecond, DelayOnly: true}); err != nil {
 		t.Fatal(err)
 	}
 	code, _, data = post(t, client, base+"/v1/search", "application/json",
