@@ -82,7 +82,7 @@ func chaosHammer(t *testing.T, par int) {
 	if err := fault.Enable(seed,
 		fault.Rule{Point: "*", Prob: 0.03},
 		fault.Rule{Point: "methods.et", Prob: 0.02, Panic: true},
-		fault.Rule{Point: "shard.executor", Prob: 0.02, Panic: true},
+		fault.Rule{Point: "methods.scan", Prob: 0.02, Panic: true},
 		fault.Rule{Point: "core.start", Prob: 0.005, Panic: true},
 		fault.Rule{Point: "cache.fill", Prob: 0.05, Panic: true},
 		fault.Rule{Point: "delta.apply", Prob: 0.05, Panic: true},
@@ -469,7 +469,7 @@ func TestChaosAdmissionControl(t *testing.T) {
 	// Every scan window worker sleeps: queries hold their admission slot
 	// long enough that concurrent arrivals overflow the queue.
 	if err := fault.Enable(*chaosSeedFlag,
-		fault.Rule{Point: "shard.executor", Delay: 150 * time.Millisecond, DelayOnly: true}); err != nil {
+		fault.Rule{Point: "methods.scan", Delay: 150 * time.Millisecond, DelayOnly: true}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -540,7 +540,7 @@ func TestChaosAdmissionControl(t *testing.T) {
 	}
 	defer s2.Close()
 	if err := fault.Enable(*chaosSeedFlag,
-		fault.Rule{Point: "shard.executor", Delay: 300 * time.Millisecond, DelayOnly: true}); err != nil {
+		fault.Rule{Point: "methods.scan", Delay: 300 * time.Millisecond, DelayOnly: true}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor := func(what string, cond func(toposearch.SearcherStats) bool) {
@@ -603,7 +603,7 @@ func TestChaosDeadlinePartial(t *testing.T) {
 	t.Cleanup(fault.Disable)
 
 	if err := fault.Enable(*chaosSeedFlag,
-		fault.Rule{Point: "shard.executor", Delay: 150 * time.Millisecond, DelayOnly: true}); err != nil {
+		fault.Rule{Point: "methods.scan", Delay: 150 * time.Millisecond, DelayOnly: true}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -727,7 +727,7 @@ func TestChaosCacheFillSurvivesCallerCancellation(t *testing.T) {
 
 	// Only the first fill is slow: the initiator times out mid-fill.
 	if err := fault.Enable(*chaosSeedFlag,
-		fault.Rule{Point: "shard.executor", Delay: 200 * time.Millisecond, DelayOnly: true, Count: 1}); err != nil {
+		fault.Rule{Point: "methods.scan", Delay: 200 * time.Millisecond, DelayOnly: true, Count: 1}); err != nil {
 		t.Fatal(err)
 	}
 

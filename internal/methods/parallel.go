@@ -15,9 +15,9 @@ import (
 	"toposearch/internal/shard"
 )
 
-// faultShardExec fires inside each window worker of the scan-method
+// faultScan fires inside each window worker of the scan-method
 // joins, exercising per-window failure containment (chaos harness).
-var faultShardExec = fault.Register("shard.executor")
+var faultScan = fault.Register("methods.scan")
 
 // queryWorkers resolves the worker count for a query: the query's own
 // Parallelism setting, falling back to the store's offline setting
@@ -128,7 +128,7 @@ func (s *Store) distinctTopsTIDs(tops *relstore.Table, q Query, c *engine.Counte
 				sp.End()
 			}()
 		}
-		if err := faultShardExec.Hit(); err != nil {
+		if err := faultScan.Hit(); err != nil {
 			o.err = err
 			return
 		}

@@ -7,10 +7,11 @@ import "fmt"
 // Insert. The materializers of the precomputed topology tables (whose
 // schemas are all-TInt) build through it: appending a row is three
 // array appends, and bulk-copying an unchanged row range from a
-// previous generation is a memcpy per column — the core of the
-// diff-aware Refresh materializer. Build publishes the finished arrays
-// as one sealed snapshot with the primary-key map (when the schema has
-// one) constructed in a single pass.
+// previous generation is one decode loop per column — the core of the
+// diff-aware Refresh materializer. Build packs the finished arrays
+// (see packed) and publishes them as one sealed snapshot with the
+// primary-key map (when the schema has one) constructed in a single
+// pass.
 //
 // A builder is single-goroutine; the Table it returns follows the
 // normal concurrency contract.
@@ -52,21 +53,21 @@ func (b *IntTableBuilder) AppendInts(vals ...int64) {
 
 // AppendRange bulk-copies rows [lo, hi) of src, which must share the
 // builder's column layout (all TInt, same column count). The copy goes
-// through the source's column views, so it handles sealed and delta
-// regions alike.
+// through the source's column views, so it handles sealed cells of any
+// packed width and delta cells alike.
 func (b *IntTableBuilder) AppendRange(src *Table, lo, hi int32) {
 	if hi <= lo {
 		return
 	}
 	for c := range b.cols {
 		v := src.Col(c)
-		// Sealed part first, then the delta tail, each a straight copy.
+		// Sealed part first (decoded), then the delta tail (copied).
 		slo, shi := lo, hi
 		if shi > v.sealed {
 			shi = v.sealed
 		}
 		if slo < shi {
-			b.cols[c] = append(b.cols[c], v.ints[slo:shi]...)
+			b.cols[c] = v.ints.appendTo(b.cols[c], slo, shi)
 		}
 		dlo, dhi := lo-v.sealed, hi-v.sealed
 		if dlo < 0 {
@@ -91,11 +92,11 @@ func (b *IntTableBuilder) Build() (*Table, error) {
 	st := &tableState{
 		sealed: b.n,
 		nrows:  b.n,
-		base:   make([]column, len(b.cols)),
+		base:   make([]sealedColumn, len(b.cols)),
 		delta:  make([]column, len(b.cols)),
 	}
 	for c := range b.cols {
-		st.base[c].ints = b.cols[c]
+		st.base[c].ints = pack(b.cols[c])
 	}
 	t.state.Store(st)
 	if t.pk != nil {

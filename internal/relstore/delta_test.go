@@ -235,13 +235,47 @@ func TestCompactEquivalence(t *testing.T) {
 	}
 }
 
-// TestApproxBytesDelta checks that memory reporting stays honest under
-// writes: the delta buffers and pending-merge state are included in
-// ApproxBytes while uncompacted, and Compact conserves the accounted
-// payload (same cells, same dictionary, same index entries — just
-// sealed).
+// genPairBytes recomputes from the rows alone what ApproxBytes and
+// DeltaBytes must report for a genPair table whose first sealed rows
+// are compacted, with a hash index on grp and an ordered index on desc
+// that no reader has flushed since: sealed ID and grp cells at the
+// packed widths idW and grpW, 8 bytes per delta int cell, 4 per desc
+// code, 40 bytes plus the payload per distinct string, 12 per primary
+// key, 16 per hash key plus 4 per posting (sealed map and pending map
+// counted apart), and 4 per ordered-index entry.
+func genPairBytes(rows []Row, sealed int, idW, grpW int64) (total, delta int64) {
+	nd := int64(len(rows) - sealed)
+	total = int64(sealed)*(idW+grpW) + nd*(8+8) + int64(len(rows))*4
+	delta = nd * (8 + 8 + 4)
+	seen := map[string]bool{}
+	sealedKeys, pendKeys := map[int64]bool{}, map[int64]bool{}
+	for i, r := range rows {
+		if s := r[2].Str; !seen[s] {
+			seen[s] = true
+			total += 16 + int64(len(s)) + 24
+			if i >= sealed {
+				delta += 16 + int64(len(s)) + 24
+			}
+		}
+		keys := sealedKeys
+		if i >= sealed {
+			keys = pendKeys
+			delta += 12 + 4 + 4 // pending primary key, hash posting, ordered entry
+		}
+		keys[r[1].Int] = true
+		total += 12 + 4 + 4 // primary key, hash posting, ordered entry
+	}
+	total += 16 * int64(len(sealedKeys)+len(pendKeys))
+	delta += 16 * int64(len(pendKeys))
+	return total, delta
+}
+
+// TestApproxBytesDelta checks that memory reporting is exact under
+// writes: delta buffers and pending-merge state are counted at their
+// int64 width while uncompacted, and Compact re-packs every TInt
+// column at the width its merged range needs.
 func TestApproxBytesDelta(t *testing.T) {
-	tab, _ := genPair(13, 400)
+	tab, ref := genPair(13, 400)
 	if _, err := tab.CreateHashIndex("grp"); err != nil {
 		t.Fatal(err)
 	}
@@ -249,37 +283,27 @@ func TestApproxBytesDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab.Compact()
-	sealedBytes := tab.ApproxBytes()
-	if tab.DeltaBytes() != 0 {
-		t.Fatalf("DeltaBytes = %d on a compacted table", tab.DeltaBytes())
+	check := func(stage string, sealed int, idW, grpW int64) {
+		t.Helper()
+		total, delta := genPairBytes(ref.rows, sealed, idW, grpW)
+		if got := tab.ApproxBytes(); got != total {
+			t.Fatalf("%s: ApproxBytes = %d, want %d", stage, got, total)
+		}
+		if got := tab.DeltaBytes(); got != delta {
+			t.Fatalf("%s: DeltaBytes = %d, want %d", stage, got, delta)
+		}
 	}
-	// Grow a delta: every added row must be accounted while pending.
+	// ID 0..399 spans 9 bits (2 bytes), grp 0..6 fits one byte.
+	check("sealed", 400, 2, 1)
 	for i := 0; i < 50; i++ {
-		tab.MustInsert(IntVal(int64(5000+i)), IntVal(int64(i%7)), StrVal(fmt.Sprintf("fresh string %d", i)))
+		r := Row{IntVal(int64(70000 + i)), IntVal(int64(i % 7)), StrVal(fmt.Sprintf("fresh string %d", i))}
+		tab.MustInsert(r...)
+		ref.insert(r)
 	}
-	grown := tab.ApproxBytes()
-	delta := tab.DeltaBytes()
-	if delta == 0 {
-		t.Fatal("DeltaBytes = 0 with 50 uncompacted rows")
-	}
-	// 50 rows x (2 int cells + 1 code) plus 50 new dictionary strings
-	// plus pk/hash/ordered pending entries.
-	minPayload := int64(50 * (8 + 8 + 4))
-	if grown-sealedBytes < minPayload {
-		t.Fatalf("ApproxBytes grew by %d, want at least %d", grown-sealedBytes, minPayload)
-	}
+	check("delta", 400, 2, 1)
+	// ID 0..70049 needs 17 bits: Compact widens the column to 4 bytes.
 	tab.Compact()
-	if tab.DeltaBytes() != 0 {
-		t.Fatalf("DeltaBytes = %d after Compact", tab.DeltaBytes())
-	}
-	// Compact conserves the payload; only the duplicated per-key
-	// overhead of pending buffers (postings for keys that already exist
-	// sealed) may disappear.
-	compacted := tab.ApproxBytes()
-	if compacted > grown || compacted < sealedBytes+minPayload {
-		t.Fatalf("ApproxBytes after Compact = %d, want within [%d, %d]",
-			compacted, sealedBytes+minPayload, grown)
-	}
+	check("compacted", 450, 4, 1)
 }
 
 // TestDictionaryGrowthProperty is the property test for dictionary

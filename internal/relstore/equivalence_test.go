@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -465,4 +466,246 @@ func TestEquivalenceConcurrentReaderHammer(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// widthCases put the sealed span of one TInt column on each side of the
+// packed width boundaries (2^8, 2^16, 2^32), in negative frames (the
+// ranges of TopInfo's rare and domain scores), and across the whole
+// int64 range, whose span overflows a signed subtraction. delta is a
+// value inserted after sealing, outside the frame except where noted;
+// compacted is the width Compact must re-pack the column to.
+var widthCases = []struct {
+	name      string
+	lo, hi    int64
+	width     uint8
+	delta     int64
+	compacted uint8
+}{
+	{"span-2^8-1", 0, 1<<8 - 1, 1, -1, 2},
+	{"span-2^8", 0, 1 << 8, 2, 128, 2}, // delta inside the frame: cells copied verbatim
+	{"span-2^16-1", -5, 1<<16 - 6, 2, -6, 4},
+	{"span-2^16", 1000, 1000 + 1<<16, 4, 1000 + 1<<32, 8},
+	{"span-2^32-1", 1 << 40, 1<<40 + 1<<32 - 1, 4, 1<<40 + 1<<32, 8},
+	{"span-2^32", -1 << 40, -1<<40 + 1<<32, 8, math.MinInt64, 8},
+	{"score-rare", -38182, -1, 2, 70000, 4},
+	{"score-domain", -23, 158, 1, -30, 1}, // frame moves, width holds
+	{"int64-extremes", math.MinInt64, math.MaxInt64, 8, 0, 8},
+}
+
+func sealedWidth(tab *Table, c int) uint8 { return tab.loadState().base[c].ints.width }
+
+// checkWidthTable compares every read path of tab's value column v
+// (column 1; column 0 is the primary key) against the reference rows:
+// cell accessors, views and row materialization, Lookup (through the
+// hash index when tab has one, a column scan otherwise), the ordered
+// index in both directions and over ranges, statistics, and predicate
+// evaluation. probes are the values to look up and compare against.
+func checkWidthTable(t *testing.T, stage string, tab *Table, ref *refTable, probes []int64) {
+	t.Helper()
+	if tab.NumRows() != len(ref.rows) {
+		t.Fatalf("%s: rows %d, want %d", stage, tab.NumRows(), len(ref.rows))
+	}
+	view := tab.Col(1)
+	var buf Row
+	for pos, r := range ref.rows {
+		p := int32(pos)
+		buf = tab.AppendRow(buf[:0], p)
+		if !reflect.DeepEqual(buf, r) || tab.IntAt(p, 1) != r[1].Int || tab.ValueAt(p, 1) != r[1] ||
+			view.Int(p) != r[1].Int || view.Value(p) != r[1] {
+			t.Fatalf("%s: cell %d = %v / IntAt %d / view %d, want %v",
+				stage, pos, buf, tab.IntAt(p, 1), view.Int(p), r)
+		}
+	}
+	for _, v := range probes {
+		got, err := tab.Lookup("v", IntVal(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append([]int32(nil), got...)
+		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+		if want := ref.lookup(1, IntVal(v)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Lookup(v=%d) = %v, want %v", stage, v, got, want)
+		}
+	}
+	if ix, ok := tab.OrderedIndexOn("v"); ok {
+		var asc, desc []int32
+		ix.Scan(false, func(pos int32) bool { asc = append(asc, pos); return true })
+		ix.Scan(true, func(pos int32) bool { desc = append(desc, pos); return true })
+		if want := ref.orderedPerm(1); !reflect.DeepEqual(asc, want) {
+			t.Fatalf("%s: ascending scan diverges", stage)
+		}
+		if want := ref.descOrder(1); !reflect.DeepEqual(desc, want) {
+			t.Fatalf("%s: descending scan diverges", stage)
+		}
+		sorted := append([]int64(nil), probes...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		mid := sorted[len(sorted)/2]
+		for _, w := range [][2]int64{{sorted[0], sorted[len(sorted)-1]}, {sorted[0], mid}, {mid, sorted[len(sorted)-1]}, {mid, mid}} {
+			var got, want []int32
+			ix.Range(IntVal(w[0]), IntVal(w[1]), func(pos int32) bool { got = append(got, pos); return true })
+			for _, pos := range ref.orderedPerm(1) {
+				if v := ref.rows[pos][1].Int; v >= w[0] && v <= w[1] {
+					want = append(want, pos)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Range(%d, %d) = %v, want %v", stage, w[0], w[1], got, want)
+			}
+		}
+	}
+	st := tab.Stats()
+	for c := range ref.schema.Cols {
+		got, want := st.Col(c), ref.stats(c)
+		if got.NDV != want.NDV || got.Min != want.Min || got.Max != want.Max || !reflect.DeepEqual(got.Freq, want.Freq) {
+			t.Fatalf("%s: stats col %d = %d/%v/%v, want %d/%v/%v",
+				stage, c, got.NDV, got.Min, got.Max, want.NDV, want.Min, want.Max)
+		}
+	}
+	s := tab.Schema
+	var preds []Pred
+	for _, v := range probes {
+		preds = append(preds, MustEq(s, "v", IntVal(v)))
+		for _, op := range []string{"<", "<=", ">", ">="} {
+			p, err := Cmp(s, "v", op, IntVal(v))
+			if err != nil {
+				t.Fatal(err)
+			}
+			preds = append(preds, p)
+		}
+	}
+	for _, p := range preds {
+		for pos, r := range ref.rows {
+			if got, want := p.EvalAt(tab, int32(pos)), p.Eval(r); got != want {
+				t.Fatalf("%s: %s: EvalAt(%d) = %v, row Eval = %v", stage, p, pos, got, want)
+			}
+		}
+	}
+}
+
+// appendRangeCopy rebuilds src through IntTableBuilder.AppendRange in
+// pieces cut at each of cuts, so the copy decodes sealed cells, delta
+// cells, and a range straddling the two.
+func appendRangeCopy(t *testing.T, src *Table, cuts ...int32) *Table {
+	t.Helper()
+	b, err := NewIntTableBuilder(src.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := int32(0)
+	for _, hi := range append(cuts, int32(src.NumRows())) {
+		b.AppendRange(src, lo, hi)
+		lo = hi
+	}
+	cp, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp
+}
+
+// TestEquivalenceWidths checks the frame-of-reference packed columns at
+// every width boundary against the reference row store: a table sealed
+// by IntTableBuilder.Build (with hash and ordered indexes) and one
+// sealed by Insert + Compact (without indexes) go through delta inserts
+// outside the sealed frame, a TruncateTo rollback, a widening Compact,
+// and AppendRange copies from every width, and each stage must read
+// back cell for cell what the row store holds.
+func TestEquivalenceWidths(t *testing.T) {
+	const n = 200
+	s := MustSchema("W", []Column{{Name: "ID", Type: TInt}, {Name: "v", Type: TInt}}, "ID")
+	for ci, tc := range widthCases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(100 + ci)))
+			span := uint64(tc.hi) - uint64(tc.lo)
+			pool := []int64{tc.lo, tc.hi, tc.lo + 1, tc.hi - 1, tc.lo + int64(span/2)}
+			for i := 0; i < 5; i++ {
+				pool = append(pool, tc.lo+int64(rng.Uint64()%span))
+			}
+			probes := append(append([]int64(nil), pool...), tc.delta)
+			nextRow := func(id int) Row {
+				v := pool[rng.Intn(len(pool))]
+				if id < 2 {
+					v = pool[id] // both ends of the frame are present
+				} else if id >= n && rng.Intn(3) == 0 {
+					v = tc.delta
+				}
+				return Row{IntVal(int64(id)), IntVal(v)}
+			}
+
+			ref := &refTable{schema: s}
+			b, err := NewIntTableBuilder(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inserted := NewTable(s)
+			for id := 0; id < n; id++ {
+				r := nextRow(id)
+				ref.insert(r)
+				b.AppendInts(r[0].Int, r[1].Int)
+				inserted.MustInsert(r...)
+			}
+			built, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := built.CreateHashIndex("v"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := built.CreateOrderedIndex("v"); err != nil {
+				t.Fatal(err)
+			}
+			inserted.Compact()
+			tabs := map[string]*Table{"built": built, "inserted": inserted}
+			for name, tab := range tabs {
+				if w := sealedWidth(tab, 1); w != tc.width {
+					t.Fatalf("%s: sealed width %d, want %d", name, w, tc.width)
+				}
+				checkWidthTable(t, name+" sealed", tab, ref, probes)
+			}
+
+			insertAll := func(from, to int) {
+				for id := from; id < to; id++ {
+					r := nextRow(id)
+					if id == from {
+						r[1] = IntVal(tc.delta)
+					}
+					ref.insert(r)
+					for _, tab := range tabs {
+						tab.MustInsert(r...)
+					}
+				}
+			}
+			insertAll(n, n+20)
+			for name, tab := range tabs {
+				checkWidthTable(t, name+" delta", tab, ref, probes)
+				cp := appendRangeCopy(t, tab, n/3, n+5)
+				if w := sealedWidth(cp, 1); w != tc.compacted {
+					t.Fatalf("%s: AppendRange copy width %d, want %d", name, w, tc.compacted)
+				}
+				checkWidthTable(t, name+" copy of delta", cp, ref, probes)
+			}
+
+			ref.rows = ref.rows[:n+5]
+			for name, tab := range tabs {
+				if err := tab.TruncateTo(n + 5); err != nil {
+					t.Fatal(err)
+				}
+				checkWidthTable(t, name+" truncated", tab, ref, probes)
+			}
+			insertAll(n+5, n+30)
+
+			for name, tab := range tabs {
+				tab.Compact()
+				if w := sealedWidth(tab, 1); w != tc.compacted {
+					t.Fatalf("%s: compacted width %d, want %d", name, w, tc.compacted)
+				}
+				checkWidthTable(t, name+" compacted", tab, ref, probes)
+				cp := appendRangeCopy(t, tab, n/3, n+5)
+				if w := sealedWidth(cp, 1); w != tc.compacted {
+					t.Fatalf("%s: AppendRange copy width %d, want %d", name, w, tc.compacted)
+				}
+				checkWidthTable(t, name+" copy of compacted", cp, ref, probes)
+			}
+		})
+	}
 }

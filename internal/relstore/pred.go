@@ -66,7 +66,8 @@ func (p *eqPred) Eval(r Row) bool { return r[p.col].Equal(p.val) }
 
 func (p *eqPred) EvalAt(t *Table, pos int32) bool {
 	if t.Schema.Cols[p.col].Type == TInt {
-		return p.val.Kind == TInt && t.IntAt(pos, p.col) == p.val.Int
+		// The snapshot's intAt inlines here; Table.IntAt is a call.
+		return p.val.Kind == TInt && t.loadState().intAt(pos, p.col) == p.val.Int
 	}
 	return p.val.Kind == TString && t.StrAt(pos, p.col) == p.val.Str
 }

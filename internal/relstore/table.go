@@ -17,11 +17,19 @@ var (
 	faultCompactMid = fault.Register("relstore.compact.mid")
 )
 
-// column is the physical storage of one attribute: a typed array
-// indexed by row position. TInt columns store values directly; TString
-// columns store 32-bit codes into the table's shared string dictionary,
-// so duplicated string payloads (descriptions, type tags) are stored
-// once per distinct value rather than once per row.
+// sealedColumn is the immutable sealed storage of one attribute, indexed
+// by row position. TInt columns are frame-of-reference packed at the
+// narrowest width their values allow (see packed); TString columns
+// store 32-bit codes into the table's shared string dictionary, so
+// duplicated string payloads (descriptions, type tags) are stored once
+// per distinct value rather than once per row.
+type sealedColumn struct {
+	ints  packed   // TInt values, one per row
+	codes []uint32 // TString dictionary codes, one per row
+}
+
+// column is the delta append buffer of one attribute: plain typed
+// arrays, so an Insert is one append per cell.
 type column struct {
 	ints  []int64  // TInt values, one per row
 	codes []uint32 // TString dictionary codes, one per row
@@ -42,11 +50,11 @@ type column struct {
 // backing array is invisible to it, and reallocation leaves the old
 // array intact. Readers therefore never lock.
 type tableState struct {
-	sealed int32    // rows in the sealed base arrays
-	nrows  int32    // total rows (sealed + delta)
-	base   []column // sealed columnar arrays; never mutated
-	delta  []column // delta append buffers (see snapshot discipline)
-	strs   []string // dictionary code -> string
+	sealed int32          // rows in the sealed base arrays
+	nrows  int32          // total rows (sealed + delta)
+	base   []sealedColumn // sealed columnar arrays; never mutated
+	delta  []column       // delta append buffers (see snapshot discipline)
+	strs   []string       // dictionary code -> string
 	// sealedStrs counts the dictionary entries that existed at the last
 	// Compact; the tail strs[sealedStrs:] is delta-era growth, reported
 	// separately by ApproxBytes.
@@ -55,7 +63,7 @@ type tableState struct {
 
 func (st *tableState) intAt(pos int32, c int) int64 {
 	if pos < st.sealed {
-		return st.base[c].ints[pos]
+		return st.base[c].ints.at(pos)
 	}
 	return st.delta[c].ints[pos-st.sealed]
 }
@@ -288,11 +296,12 @@ func (ix *pkIndex) len() int {
 // hash, and ordered secondary indices.
 //
 // Storage is columnar and versioned: each column is a sealed typed
-// array ([]int64 for TInt, dictionary codes for TString) plus a delta
-// append buffer, published together as immutable snapshots. Scans walk
-// contiguous memory and a tuple is materialized into a Row only by
-// AppendRow (or Row). Hot paths read cells through IntAt/StrAt or the
-// Col views and allocate nothing per row.
+// array (frame-of-reference packed integers for TInt, dictionary codes
+// for TString) plus a delta append buffer ([]int64 or codes), published
+// together as immutable snapshots. Scans walk contiguous memory and a
+// tuple is materialized into a Row only by AppendRow (or Row). Hot
+// paths read cells through IntAt/StrAt or the Col views and allocate
+// nothing per row.
 //
 // Concurrency contract (the live-update model):
 //
@@ -337,7 +346,7 @@ func NewTable(s *Schema) *Table {
 		t.pk.init()
 	}
 	t.state.Store(&tableState{
-		base:  make([]column, len(s.Cols)),
+		base:  make([]sealedColumn, len(s.Cols)),
 		delta: make([]column, len(s.Cols)),
 	})
 	return t
@@ -379,7 +388,7 @@ func (t *Table) ValueAt(pos int32, c int) Value {
 type ColView struct {
 	Kind   ColType
 	sealed int32
-	ints   []int64
+	ints   packed
 	dints  []int64
 	codes  []uint32
 	dcodes []uint32
@@ -412,7 +421,7 @@ func (v ColView) Len() int {
 // Int returns the integer cell at pos (TInt columns).
 func (v ColView) Int(pos int32) int64 {
 	if pos < v.sealed {
-		return v.ints[pos]
+		return v.ints.at(pos)
 	}
 	return v.dints[pos-v.sealed]
 }
@@ -548,7 +557,9 @@ func (t *Table) MustInsert(vals ...Value) {
 }
 
 // Compact merges the delta buffers into the sealed base arrays: the
-// typed arrays are rewritten once, the dictionary and primary-key
+// typed arrays are rewritten once (each TInt column re-packed at the
+// width its merged range needs, which may narrow the delta's int64
+// cells or widen the sealed ones), the dictionary and primary-key
 // pending maps are merged into fresh sealed maps, and every secondary
 // index folds its pending entries in. Row positions are stable, so
 // statistics and index entries stay valid. Readers are never blocked —
@@ -570,17 +581,14 @@ func (t *Table) Compact() {
 		ns := &tableState{
 			sealed:     st.nrows,
 			nrows:      st.nrows,
-			base:       make([]column, len(st.base)),
+			base:       make([]sealedColumn, len(st.base)),
 			delta:      make([]column, len(st.base)),
 			strs:       st.strs,
 			sealedStrs: len(st.strs),
 		}
 		for c := range st.base {
 			if t.Schema.Cols[c].Type == TInt {
-				merged := make([]int64, 0, st.nrows)
-				merged = append(merged, st.base[c].ints...)
-				merged = append(merged, st.delta[c].ints...)
-				ns.base[c].ints = merged
+				ns.base[c].ints = st.base[c].ints.extend(st.delta[c].ints)
 			} else {
 				merged := make([]uint32, 0, st.nrows)
 				merged = append(merged, st.base[c].codes...)
@@ -879,20 +887,21 @@ func (t *Table) ScanPos(visit func(pos int32) bool) {
 }
 
 // ApproxBytes estimates the storage footprint of the table in bytes:
-// the sealed columnar arrays and the delta append buffers (8 bytes per
-// TInt cell, 4 per TString code), the shared string dictionary —
-// sealed and delta-era entries alike (header + payload + intern-map
-// entry per distinct string) — the primary-key and hash-index entries
-// including their pending-merge buffers, and the ordered indexes'
-// permutations plus pending blocks. Used to reproduce the paper's
-// space-requirement comparison (Table 1) and to keep memory reporting
-// honest while writes are in flight.
+// the sealed columnar arrays (1, 2, 4 or 8 bytes per TInt cell, the
+// width each column's packed frame chose; 4 per TString code), the
+// delta append buffers (8 bytes per TInt cell, 4 per TString code),
+// the shared string dictionary — sealed and delta-era entries alike
+// (header + payload + intern-map entry per distinct string) — the
+// primary-key and hash-index entries including their pending-merge
+// buffers, and the ordered indexes' permutations plus pending blocks.
+// Used to reproduce the paper's space-requirement comparison (Table 1)
+// and to keep memory reporting honest while writes are in flight.
 func (t *Table) ApproxBytes() int64 {
 	st := t.loadState()
 	var b int64
 	for c := range st.base {
 		if t.Schema.Cols[c].Type == TInt {
-			b += 8 * int64(len(st.base[c].ints)+len(st.delta[c].ints))
+			b += st.base[c].ints.bytes() + 8*int64(len(st.delta[c].ints))
 		} else {
 			b += 4 * int64(len(st.base[c].codes)+len(st.delta[c].codes))
 		}
@@ -916,9 +925,11 @@ func (t *Table) ApproxBytes() int64 {
 }
 
 // DeltaBytes reports the footprint of the not-yet-compacted write
-// state alone: delta column buffers, delta-era dictionary strings, and
-// every pending-merge buffer (primary key, hash and ordered indexes).
-// Compact folds all of it into the sealed structures.
+// state alone: delta column buffers (8 bytes per TInt cell, 4 per
+// TString code), delta-era dictionary strings, and every pending-merge
+// buffer (primary key, hash and ordered indexes). Compact folds all of
+// it into the sealed structures, where the TInt cells are re-packed, so
+// ApproxBytes can drop by more than DeltaBytes across a Compact.
 func (t *Table) DeltaBytes() int64 {
 	st := t.loadState()
 	var b int64

@@ -57,6 +57,56 @@ func TestAutoCompactPolicy(t *testing.T) {
 	}
 }
 
+// TestAutoCompactAfterShrinkingCompact pins the policy's cached total to
+// the post-compaction footprint. Compact re-packs the delta's int64
+// cells at their sealed widths, so the total shrinks; a cache still
+// holding the pre-compaction total makes the cheap prefilter skip a
+// compaction the exact check demands. The threshold sits between the
+// two totals, which a twin database from the same seed measures first.
+func TestAutoCompactAfterShrinkingCompact(t *testing.T) {
+	open := func() *DB {
+		db, err := Synthetic(1, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	twin := open()
+	if err := twin.ApplyBatch(maintenanceBatch(8, 0)); err != nil {
+		t.Fatal(err)
+	}
+	before := twin.rel.ApproxBytes()
+	if err := twin.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.ApplyBatch(maintenanceBatch(8, 1)); err != nil {
+		t.Fatal(err)
+	}
+	d, after := twin.rel.DeltaBytes(), twin.rel.ApproxBytes()
+	if after >= before {
+		t.Fatalf("footprint %d after compaction and a batch is not below %d before it; the totals cannot be told apart", after, before)
+	}
+	// d > frac*after, and d < frac*before.
+	frac := 2 * float64(d) / float64(before+after)
+
+	db := open()
+	db.SetAutoCompact(frac)
+	// The bulk load left every row in the delta, so the first batch
+	// measures the pre-compaction total and compacts.
+	if err := db.ApplyBatch(maintenanceBatch(8, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.rel.DeltaBytes(); got != 0 {
+		t.Fatalf("DeltaBytes %d after the first batch, want it auto-compacted", got)
+	}
+	if err := db.ApplyBatch(maintenanceBatch(8, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.rel.DeltaBytes(); got != 0 {
+		t.Fatalf("DeltaBytes %d exceeds %.2g of the %d-byte footprint but was not auto-compacted", got, frac, db.rel.ApproxBytes())
+	}
+}
+
 func TestLogTruncatedBelowMinSearcherCursor(t *testing.T) {
 	db, err := Synthetic(1, 42)
 	if err != nil {

@@ -110,10 +110,14 @@ type DB struct {
 	// total footprint.
 	autoCompactFrac float64
 	// approxCache remembers the last measured total footprint so the
-	// per-batch policy check stays O(delta state): the total only
-	// grows, so comparing against a stale (smaller) value can only
-	// trigger the exact re-measure early, never skip a compaction.
-	approxCache atomic.Int64
+	// per-batch policy check stays O(delta state). Between compactions
+	// the total only grows, so comparing against a stale (smaller)
+	// value can only trigger the exact re-measure early, never skip a
+	// compaction. Compact shrinks the total (delta int64 cells are
+	// re-packed at their sealed widths), so it clears the cache, and
+	// the next check re-measures. Guarded by mu, so a check can never
+	// store a total measured before a concurrent Compact.
+	approxCache int64
 }
 
 // Figure3 opens the paper's 11-entity running-example database
@@ -253,18 +257,28 @@ func (db *DB) ApplyBatch(us []Update) (err error) {
 		return err
 	}
 	if frac > 0 {
-		d := db.rel.DeltaBytes() // walks only the delta state
-		if d > 0 && float64(d) > frac*float64(db.approxCache.Load()) {
-			// Passed against the cached total: measure the real one
-			// (the expensive full walk) and decide on it.
-			total := db.rel.ApproxBytes()
-			db.approxCache.Store(total)
-			if float64(d) > frac*float64(total) {
-				err = db.Compact()
-			}
-		}
+		err = db.autoCompact(frac)
 	}
 	return err
+}
+
+// autoCompact applies the SetAutoCompact policy: it compacts when the
+// un-compacted write state exceeds frac of the total footprint.
+func (db *DB) autoCompact(frac float64) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	d := db.rel.DeltaBytes() // walks only the delta state
+	if d == 0 || float64(d) <= frac*float64(db.approxCache) {
+		return nil
+	}
+	// Passed against the cached total: measure the real one (the
+	// expensive full walk) and decide on it.
+	total := db.rel.ApproxBytes()
+	db.approxCache = total
+	if float64(d) <= frac*float64(total) {
+		return nil
+	}
+	return db.compactLocked()
 }
 
 // SetAutoCompact installs the automatic compaction policy: after a
@@ -290,10 +304,18 @@ func (db *DB) SetAutoCompact(fraction float64) {
 // engine panics into a *EnginePanicError; a contained failure leaves
 // every table readable (each table either compacted fully, partially
 // — every intermediate state is consistent — or not at all).
-func (db *DB) Compact() (err error) {
+func (db *DB) Compact() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	return db.compactLocked()
+}
+
+// compactLocked is Compact for callers holding db.mu.
+func (db *DB) compactLocked() (err error) {
 	defer fault.RecoverTo(&err, "db.compact")
+	// Cleared even after a contained panic: the tables compacted before
+	// it already shrank the total.
+	defer func() { db.approxCache = 0 }()
 	for _, name := range db.rel.TableNames() {
 		db.rel.Table(name).Compact()
 	}
