@@ -57,7 +57,7 @@ func BenchmarkPrecompute(b *testing.B) {
 
 // BenchmarkComputeParallel measures the offline Topology Computation
 // module across worker counts: the same AllTops computation for every
-// Table 1 entity-set pair, sharded over 1, 2, 4 and 8 workers. The
+// Table 1 entity-set pair, spread over 1, 2, 4 and 8 workers. The
 // workers=1 case is the sequential baseline; cmd/benchtab exposes the
 // same knob as -workers so the offline-phase speedup can be reported
 // at larger scales.
@@ -188,8 +188,8 @@ func BenchmarkTable2Methods(b *testing.B) {
 }
 
 // BenchmarkFastTop measures the parallel online Fast-Top path across
-// query worker counts: the sharded LeftTops join plus one existence
-// check per pruned topology, the checks sharded over the same pool.
+// query worker counts: the windowed LeftTops join plus one existence
+// check per pruned topology, the checks spread over the same pool.
 // The selective protein predicate makes the pruned checks drain their
 // plans (few witnesses), which is the regime the parallel pool speeds
 // up; results are byte-identical at every worker count.

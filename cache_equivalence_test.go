@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"toposearch"
+	"toposearch/internal/methods"
 )
 
 // cacheQueryPool is a deterministic query mix spanning unconstrained,
@@ -164,8 +165,23 @@ func TestCacheEquivalenceRandomized(t *testing.T) {
 			if st := cached.CacheStats(); st.Hits == 0 {
 				t.Errorf("cached searcher never hit: %+v", st)
 			}
+			// The exact counters pin which entries each refresh carried
+			// forward: a change to the footprint partition that keeps
+			// every answer right but moves a bucket boundary fails here.
+			got := cached.CacheStats()
+			got.Evictions, got.Flushes, got.SkippedStale = 0, 0, 0
+			if want := wantCachedStats[seed]; got != want {
+				t.Errorf("cached searcher counters %+v, want %+v", got, want)
+			}
 		})
 	}
+}
+
+// wantCachedStats is TestCacheEquivalenceRandomized's cached searcher's
+// final CacheStats per seed (evictions, flushes and stale skips aside).
+var wantCachedStats = map[int64]methods.CacheStats{
+	5:  {Hits: 24, Misses: 11, Invalidated: 3, CarriedForward: 0, Entries: 7, Bytes: 81466},
+	77: {Hits: 21, Misses: 18, Invalidated: 9, CarriedForward: 1, Entries: 7, Bytes: 82187},
 }
 
 // TestCacheCarriedForward pins the frontier-scoped invalidation
@@ -250,8 +266,9 @@ func TestCacheCarriedForward(t *testing.T) {
 		t.Errorf("parallel-edge refresh: AllTops %v, want reused", diff.AllTops)
 	}
 	check("carried", true)
-	if st := cached.CacheStats(); st.CarriedForward == 0 {
-		t.Errorf("no entries carried forward: %+v", st)
+	st := cached.CacheStats()
+	if got := [4]int64{st.Hits, st.Misses, st.Invalidated, st.CarriedForward}; got != [4]int64{3, 2, 1, 1} {
+		t.Errorf("hits/misses/invalidated/carried = %v, want [3 2 1 1] (stats %+v)", got, st)
 	}
 }
 

@@ -9,16 +9,16 @@ import (
 	"toposearch"
 )
 
-// TestShardConcurrentSearchRefreshHammer races entity-partitioned work
-// against live batch application, incremental refreshes and
-// compactions (run under -race in CI): scan methods cut the driving
-// entity scan into one window per query worker, and the result cache
-// keys every entry's dependency footprint by the weighted entity
-// buckets the refresh invalidates through. Every query must keep
+// TestCacheFootprintConcurrentSearchRefreshHammer races
+// entity-partitioned work against live batch application, incremental
+// refreshes and compactions (run under -race in CI): scan methods cut
+// the driving entity scan into one window per query worker, and the
+// result cache keys every entry's dependency footprint by the weighted
+// entity buckets the refresh invalidates through. Every query must keep
 // succeeding on one consistent store generation, and afterwards the
 // cached, windowed searcher must answer exactly as a fresh sequential
 // searcher with the cache off.
-func TestShardConcurrentSearchRefreshHammer(t *testing.T) {
+func TestCacheFootprintConcurrentSearchRefreshHammer(t *testing.T) {
 	defer assertNoGoroutineLeak(t, goroutineBaseline())
 	ctx := context.Background()
 	db, err := toposearch.Synthetic(1, 7)

@@ -100,6 +100,66 @@ func TestSearcherParallelismSetting(t *testing.T) {
 	}
 }
 
+// TestDeadlineQueryBypassesCache pins the direct execution path a
+// deadline-bounded query takes on a cache-on searcher: a deadline that
+// never fires returns the plain answer, reports neither Partial nor
+// CacheHit, leaves the cache and the Partials counter untouched, and
+// the plain query that follows still misses.
+func TestDeadlineQueryBypassesCache(t *testing.T) {
+	db, err := toposearch.Synthetic(1, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := db.NewSearcher(toposearch.Protein, toposearch.DNA, toposearch.SearcherConfig{
+		MaxLen: 3, PruneThreshold: 8, MaxCombinations: 2048,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	kw := []toposearch.Constraint{{Column: "desc", Keyword: "kwsel50"}}
+	for _, q := range []toposearch.SearchQuery{
+		{K: 5, Cons1: kw},
+		{K: 3, Method: "fast-top-k-et", Ranking: toposearch.RankRare},
+		{Method: "full-top", Cons1: kw},
+	} {
+		var bounded []*toposearch.SearchResult
+		before, partials := s.CacheStats(), s.Stats().Partials
+		for _, partialOK := range []bool{false, true} {
+			bq := q
+			bq.Deadline, bq.PartialOK = 10*time.Second, partialOK
+			res, err := s.Search(bq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Partial || res.CacheHit {
+				t.Errorf("%s k=%d partialOK=%v: Partial %v CacheHit %v, want both false",
+					q.Method, q.K, partialOK, res.Partial, res.CacheHit)
+			}
+			bounded = append(bounded, res)
+		}
+		if after := s.CacheStats(); after.Misses != before.Misses || after.Entries != before.Entries {
+			t.Errorf("%s k=%d: bounded queries moved the cache: misses %d -> %d, entries %d -> %d",
+				q.Method, q.K, before.Misses, after.Misses, before.Entries, after.Entries)
+		}
+		if got := s.Stats().Partials; got != partials {
+			t.Errorf("%s k=%d: Partials %d -> %d", q.Method, q.K, partials, got)
+		}
+		plain, err := s.Search(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.CacheHit {
+			t.Errorf("%s k=%d: plain query after the bounded ones hit the cache", q.Method, q.K)
+		}
+		for _, res := range bounded {
+			if !reflect.DeepEqual(res.Topologies, plain.Topologies) {
+				t.Errorf("%s k=%d: bounded answer %v, plain %v", q.Method, q.K, res.Topologies, plain.Topologies)
+			}
+		}
+	}
+}
+
 // TestPartialETPrefix pins the deadline contract of the ET drain: with
 // PartialOK, a deadline cut returns the witnesses emitted so far, which
 // are a prefix of the unbounded answer, and a run that beat its

@@ -26,7 +26,7 @@ type Options struct {
 	// computation (Appendix B).
 	Weak *WeakRules
 	// Parallelism is the worker count of the offline computation: start
-	// nodes are sharded across this many workers (0 = GOMAXPROCS,
+	// nodes are spread across this many workers (0 = GOMAXPROCS,
 	// 1 = sequential). Results are byte-identical at every setting.
 	Parallelism int
 }

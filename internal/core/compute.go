@@ -128,7 +128,7 @@ func (res *Result) TopsOf(es1, es2 string, a, b graph.NodeID) []TopologyID {
 // each pair's l-topologies per Definition 2. Weak schema paths are
 // dropped when opts.Weak is set.
 //
-// Start nodes are sharded across opts.Parallelism workers; the output —
+// Start nodes are spread across opts.Parallelism workers; the output —
 // Entries order, Freq, class sets and registry ID assignment — is
 // byte-identical at every parallelism level. Cancellation is checked at
 // start-node granularity: when ctx is cancelled, Compute returns

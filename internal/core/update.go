@@ -10,7 +10,7 @@ import (
 
 // UpdateResult incrementally maintains a computed Result after the
 // data graph grew: only the start nodes in the affected frontier (plus
-// any brand-new start nodes in it) are recomputed — sharded over the
+// any brand-new start nodes in it) are recomputed — spread over the
 // same worker pool as the offline phase — and their cells are merged
 // with the untouched cells of the previous run into a fresh Result.
 //

@@ -12,7 +12,7 @@
 // recompute. Real biological databases are continuously curated, so
 // this package provides the mutation half of the incremental
 // maintenance pipeline; the recomputation half lives in core
-// (UpdateResult) and methods (Store.Refresh).
+// (UpdateResult) and methods (Store.RefreshDiff).
 package delta
 
 import (

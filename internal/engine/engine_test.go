@@ -506,7 +506,7 @@ func TestCountersAdd(t *testing.T) {
 	}
 }
 
-func TestScanRangeShardsComposeToFullScan(t *testing.T) {
+func TestScanRangeWindowsComposeToFullScan(t *testing.T) {
 	db := testDB(t)
 	prot := db.MustTable("Protein")
 	full, err := Drain(NewScan(prot, "P", nil, nil))
@@ -525,7 +525,7 @@ func TestScanRangeShardsComposeToFullScan(t *testing.T) {
 		}
 		got := append(a, b...)
 		if fmt.Sprint(got) != fmt.Sprint(full) {
-			t.Errorf("cut=%d: concatenated shards != full scan", cut)
+			t.Errorf("cut=%d: concatenated windows != full scan", cut)
 		}
 	}
 	// Hi past the end clamps to the table size.

@@ -10,7 +10,7 @@ import (
 // Scan is a full table scan, optionally filtered by a predicate over
 // the table's rows (a pushed-down local predicate). A scan can be
 // restricted to a row-position window [Lo, Hi), which is how parallel
-// plans shard one driving table across workers: concatenating the
+// plans split one driving table across workers: concatenating the
 // outputs of contiguous windows reproduces the full scan's row order
 // exactly.
 type Scan struct {

@@ -12,7 +12,7 @@
 // a warm-up count, at most a bounded number of times, and its action is
 // returning an error, panicking with an *Injected value, and/or
 // sleeping — the vocabulary needed to simulate worker crashes, slow
-// shards and transient storage failures deterministically.
+// workers and transient storage failures deterministically.
 //
 // Determinism: each armed point draws from its own rand source seeded
 // from the global seed and the point's name, so whether a given hit
@@ -72,7 +72,7 @@ type Rule struct {
 	// Panic makes a firing hit panic with an *Injected value instead of
 	// returning an error — the worker-crash simulation.
 	Panic bool
-	// Delay makes a firing hit sleep before acting (slow-shard /
+	// Delay makes a firing hit sleep before acting (slow-worker /
 	// slow-storage simulation). A delay-only rule (no Err, no Panic,
 	// Delay > 0) sleeps and returns nil.
 	Delay time.Duration

@@ -13,7 +13,6 @@ import (
 	"toposearch/internal/graph"
 	"toposearch/internal/obs"
 	"toposearch/internal/relstore"
-	"toposearch/internal/shard"
 )
 
 // faultFill fires inside the cache's detached fill goroutine (chaos
@@ -21,13 +20,61 @@ import (
 // typed error and never cache anything.
 var faultFill = fault.Register("cache.fill")
 
-// FootprintBuckets is the width of the cache's dependency bitmask: the
-// frozen entity-bucket partition a searcher cuts once at construction
-// (via Store.EntityShardRanges) and keeps for its whole lifetime.
-// Because table positions are append-only, the position→bucket mapping
-// never changes, so footprints recorded against one generation remain
+// footprintBuckets is the width of the cache's dependency bitmask: the
+// number of ranges in the entity partition a ResultCache cuts once, at
+// construction, and keeps for its whole lifetime. Because table
+// positions are append-only, the position→bucket mapping never
+// changes, so footprints recorded against one generation remain
 // meaningful against every later one.
-const FootprintBuckets = 64
+const footprintBuckets = 64
+
+// ranges is a contiguous partition of a position space [0, n): ordered,
+// non-overlapping [lo, hi) windows whose concatenation reproduces the
+// whole domain. Individual ranges may be empty when a weight profile is
+// extremely skewed.
+type ranges [][2]int32
+
+// fromPrefix partitions [0, len(prefix)-1) into w weight-balanced
+// contiguous ranges given an integer weight prefix-sum array
+// (prefix[0] = 0, prefix[i+1] = prefix[i] + weight_i): cut i lands at
+// the smallest position whose prefix reaches i/w of the total. A
+// nil/empty or zero-total profile degenerates to equalRanges.
+func fromPrefix(prefix []int64, w int) ranges {
+	n, w := max(len(prefix)-1, 0), max(w, 1)
+	if n == 0 || prefix[n] <= 0 {
+		return equalRanges(n, w)
+	}
+	total := prefix[n]
+	out := make(ranges, 0, w)
+	lo := 0
+	for i := 1; i <= w; i++ {
+		hi := n
+		if i < w {
+			// total*i stays well inside int64 for any realistic table
+			// (weights are row counts; w is a bucket count).
+			target := total * int64(i) / int64(w)
+			hi = sort.Search(n, func(j int) bool { return prefix[j+1] >= target })
+			// A zero-weight tail after the target position belongs to
+			// the earlier range; keep cuts monotone.
+			hi = max(hi, lo)
+		}
+		out = append(out, [2]int32{int32(lo), int32(hi)})
+		lo = hi
+	}
+	return out
+}
+
+// find returns the index of the range containing position pos >= 0. A
+// position past the partition's domain clamps to the last range. (The
+// first range whose hi exceeds pos is never an empty one: an empty
+// range's hi equals the hi of the range before it.)
+func (r ranges) find(pos int32) int {
+	return min(sort.Search(len(r), func(j int) bool { return r[j][1] > pos }), len(r)-1)
+}
+
+// domain returns the partitioned position space size. Every partition
+// has at least one range.
+func (r ranges) domain() int32 { return r[len(r)-1][1] }
 
 // Footprint is the dependency set of one cached result: a bitmask of
 // the frozen entity buckets holding the start entities its answer was
@@ -36,34 +83,29 @@ const FootprintBuckets = 64
 // buckets dirtied by an update; disjoint entries are carried forward.
 type Footprint uint64
 
-// QueryFootprint scans the frozen-domain prefix of t1 and returns the
+// footprint scans the frozen domain of the entity table and returns the
 // bucket mask of positions matching pred (nil = all). Rows appended
 // after the partition was frozen are not represented here — Advance
 // checks those per-entry against the predicate directly, which is both
 // exact and cheap since only dirtied tail rows need checking.
-func QueryFootprint(t1 *relstore.Table, pred relstore.Pred, r shard.Ranges) Footprint {
-	end := r.Domain()
-	if n := int32(t1.NumRows()); end > n {
-		end = n
-	}
+func (c *ResultCache) footprint(pred relstore.Pred) Footprint {
 	var fp Footprint
+	// A batch rolled back after the partition was cut may have shrunk
+	// the table below the frozen domain.
+	end := min(c.buckets.domain(), int32(c.t1.NumRows()))
 	for pos := int32(0); pos < end; pos++ {
-		if pred == nil || pred.EvalAt(t1, pos) {
-			b := r.Find(pos)
-			if b >= FootprintBuckets {
-				b = FootprintBuckets - 1
-			}
-			fp |= 1 << uint(b)
+		if pred == nil || pred.EvalAt(c.t1, pos) {
+			fp |= 1 << uint(c.buckets.find(pos))
 		}
 	}
 	return fp
 }
 
-// InvalidationSet derives, for a generation swap produced by
+// InvalidationSet derives, for a generation swap to ns produced by
 // RefreshDiff, the dirty start-entity set every cached entry must be
-// checked against: the in-domain part as a bucket mask under the frozen
-// partition r, the part beyond r's domain (entities appended after the
-// partition was frozen) as explicit T1 positions.
+// checked against: the in-domain part as a bucket mask under the
+// cache's frozen partition, the part beyond its domain (entities
+// appended after the partition was frozen) as explicit T1 positions.
 //
 // A cached result can change across the swap only if some start entity
 // matching its predicate either (a) lies on the affected frontier —
@@ -75,17 +117,13 @@ func QueryFootprint(t1 *relstore.Table, pred relstore.Pred, r shard.Ranges) Foot
 // are byte-identical across the generations. Only meaningful when the
 // diff's registry was stable; an unstable registry renumbers
 // topologies and the caller must flush instead.
-func (s *Store) InvalidationSet(d *RefreshDiff, affected map[graph.NodeID]bool, r shard.Ranges) (Footprint, []int32) {
+func (c *ResultCache) InvalidationSet(ns *Store, d *RefreshDiff, affected map[graph.NodeID]bool) (Footprint, []int32) {
 	var mask Footprint
 	var tail []int32
 	seen := make(map[int32]bool)
 	add := func(pos int32) {
-		if pos < int32(r.Domain()) {
-			b := r.Find(pos)
-			if b >= FootprintBuckets {
-				b = FootprintBuckets - 1
-			}
-			mask |= 1 << uint(b)
+		if pos < c.buckets.domain() {
+			mask |= 1 << uint(c.buckets.find(pos))
 			return
 		}
 		if !seen[pos] {
@@ -94,20 +132,20 @@ func (s *Store) InvalidationSet(d *RefreshDiff, affected map[graph.NodeID]bool, 
 		}
 	}
 	for n := range affected {
-		if pos, ok := s.T1.PKPos(int64(n)); ok {
+		if pos, ok := ns.T1.PKPos(int64(n)); ok {
 			add(pos)
 		}
 	}
 	if len(d.ChangedTIDs) > 0 {
-		tidIdx, err := s.AllTops.CreateHashIndex("TID")
-		e1Col, ok := s.AllTops.Schema.ColIndex("E1")
+		tidIdx, err := ns.AllTops.CreateHashIndex("TID")
+		e1Col, ok := ns.AllTops.Schema.ColIndex("E1")
 		if err != nil || !ok {
 			// Cannot walk the rows: dirty every bucket (sound, never hits).
 			return ^Footprint(0), nil
 		}
 		for _, tid := range d.ChangedTIDs {
 			for _, row := range tidIdx.LookupInt(int64(tid)) {
-				if pos, ok := s.T1.PKPos(s.AllTops.IntAt(row, e1Col)); ok {
+				if pos, ok := ns.T1.PKPos(ns.AllTops.IntAt(row, e1Col)); ok {
 					add(pos)
 				}
 			}
@@ -160,7 +198,7 @@ type flight struct {
 	err  error
 }
 
-type cacheShard struct {
+type cacheStripe struct {
 	mu         sync.Mutex
 	cap        int64
 	bytes      int64
@@ -174,34 +212,51 @@ type cacheShard struct {
 // edge-log position) pair, concurrent misses for the same key collapse
 // onto a single computation, and Advance migrates entries across a
 // generation swap by footprint intersection instead of flushing. The
-// memory bound is split evenly across the internal shards and enforced
-// per shard with LRU eviction.
+// memory bound is split evenly across the lock stripes and enforced per
+// stripe with LRU eviction.
 type ResultCache struct {
-	shards [8]cacheShard
+	stripes [8]cacheStripe
+
+	// buckets is the partition of the entity table t1 that footprints
+	// are recorded against, cut from the store the cache was built for
+	// and frozen from then on. Every later generation shares t1.
+	t1      *relstore.Table
+	buckets ranges
 
 	hits, misses, evictions, invalidated, carried, flushes, skippedStale atomic.Int64
 }
 
-// NewResultCache returns a cache holding at most maxBytes of result
-// payload (as estimated by the caller-supplied entry sizes).
-func NewResultCache(maxBytes int64) *ResultCache {
-	c := &ResultCache{}
-	per := maxBytes / int64(len(c.shards))
-	if per < 1 {
-		per = 1
+// NewResultCache returns a cache for results computed on st and its
+// later generations, holding at most maxBytes of result payload (as
+// estimated by the caller-supplied entry sizes). It freezes the
+// footprint partition from st's entity weights.
+func NewResultCache(maxBytes int64, st *Store) (*ResultCache, error) {
+	// The buckets balance each entity's weight: one scan charge plus its
+	// AllTops fan-out (the tops-join matches), the dominant per-row cost
+	// of the Figure 14 plans.
+	e1Idx, err := st.AllTops.CreateHashIndex("E1")
+	if err != nil {
+		return nil, err
 	}
-	for i := range c.shards {
-		c.shards[i].cap = per
-		c.shards[i].entries = make(map[string]*cacheEntry)
-		c.shards[i].flights = make(map[string]*flight)
+	keyCol := st.T1.Schema.KeyCol
+	prefix := make([]int64, st.T1.NumRows()+1)
+	for pos := range int32(st.T1.NumRows()) {
+		prefix[pos+1] = prefix[pos] + 1 + int64(len(e1Idx.LookupInt(st.T1.IntAt(pos, keyCol))))
 	}
-	return c
+	c := &ResultCache{t1: st.T1, buckets: fromPrefix(prefix, footprintBuckets)}
+	per := max(maxBytes/int64(len(c.stripes)), 1)
+	for i := range c.stripes {
+		c.stripes[i].cap = per
+		c.stripes[i].entries = make(map[string]*cacheEntry)
+		c.stripes[i].flights = make(map[string]*flight)
+	}
+	return c, nil
 }
 
-func (c *ResultCache) shardOf(key string) *cacheShard {
+func (c *ResultCache) stripeOf(key string) *cacheStripe {
 	h := fnv.New32a()
 	h.Write([]byte(key))
-	return &c.shards[h.Sum32()%uint32(len(c.shards))]
+	return &c.stripes[h.Sum32()%uint32(len(c.stripes))]
 }
 
 // GetOrCompute returns the value cached under key for the (gen, epoch)
@@ -219,18 +274,17 @@ func (c *ResultCache) shardOf(key string) *cacheShard {
 // compute must therefore not observe any single waiter's context (the
 // searcher passes a detached one). A panic out of compute is contained
 // into a typed *fault.PanicError, failing every waiter; nothing is
-// cached. A nil ctx behaves like context.Background().
+// cached.
 //
-// compute's cacheable return gates storage without affecting delivery:
-// a false value means the result is correct for the caller that asked
-// for it but must not be tagged (gen, epoch) — the searcher returns
-// false when the edge-log epoch advanced while the fill ran, since the
-// fill may then have observed base-table rows the tag does not pin.
-func (c *ResultCache) GetOrCompute(ctx context.Context, key string, gen uint64, epoch int, compute func() (val any, bytes int64, fp Footprint, pred relstore.Pred, cacheable bool, err error)) (any, bool, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	sh := c.shardOf(key)
+// compute returns the value, its estimated size and the entity-set-1
+// predicate the entry's footprint is derived from. Its cacheable return
+// gates storage without affecting delivery: a false value means the
+// result is correct for the caller that asked for it but must not be
+// tagged (gen, epoch) — the searcher returns false when the edge-log
+// epoch advanced while the fill ran, since the fill may then have
+// observed base-table rows the tag does not pin.
+func (c *ResultCache) GetOrCompute(ctx context.Context, key string, gen uint64, epoch int, compute func() (val any, bytes int64, pred relstore.Pred, cacheable bool, err error)) (any, bool, error) {
+	sh := c.stripeOf(key)
 	tag := fmt.Sprintf("%s\x00%d\x00%d", key, gen, epoch)
 	sh.mu.Lock()
 	if e := sh.entries[key]; e != nil && e.gen == gen && e.epoch == epoch {
@@ -271,17 +325,9 @@ func (c *ResultCache) GetOrCompute(ctx context.Context, key string, gen uint64, 
 		var cacheable bool
 		var err error
 		defer func() {
-			if v := recover(); v != nil {
-				err = fault.NewPanicError("cache.fill", v)
-			}
 			f.val, f.err = val, err
-			sh.mu.Lock()
-			delete(sh.flights, tag)
-			if err == nil && cacheable {
-				sh.store(c, &cacheEntry{key: key, gen: gen, epoch: epoch, fp: fp, pred: pred, val: val, bytes: bytes})
-			}
-			sh.mu.Unlock()
-			close(f.done)
+			// Counted before the flight completes, so a caller that reads
+			// Stats after GetOrCompute returns always sees its own miss.
 			c.misses.Add(1)
 			if err == nil && !cacheable {
 				c.skippedStale.Add(1)
@@ -295,11 +341,21 @@ func (c *ResultCache) GetOrCompute(ctx context.Context, key string, gen uint64, 
 					obsCacheSkipStale.Inc()
 				}
 			}
+			sh.mu.Lock()
+			delete(sh.flights, tag)
+			if err == nil && cacheable {
+				sh.store(c, &cacheEntry{key: key, gen: gen, epoch: epoch, fp: fp, pred: pred, val: val, bytes: bytes})
+			}
+			sh.mu.Unlock()
+			close(f.done)
 		}()
+		defer fault.RecoverTo(&err, "cache.fill")
 		if err = faultFill.Hit(); err != nil {
 			return
 		}
-		val, bytes, fp, pred, cacheable, err = compute()
+		if val, bytes, pred, cacheable, err = compute(); err == nil && cacheable {
+			fp = c.footprint(pred)
+		}
 	}()
 
 	select {
@@ -319,7 +375,7 @@ func (c *ResultCache) GetOrCompute(ctx context.Context, key string, gen uint64, 
 // positions checked against each entry's predicate) are retagged to
 // (newGen, newEpoch); everything else — intersecting, stale-generation,
 // or all of them when flushAll is set — is dropped.
-func (c *ResultCache) Advance(oldGen, newGen uint64, newEpoch int, mask Footprint, dirtyTail []int32, t1 *relstore.Table, flushAll bool) {
+func (c *ResultCache) Advance(oldGen, newGen uint64, newEpoch int, mask Footprint, dirtyTail []int32, flushAll bool) {
 	if flushAll {
 		c.flushes.Add(1)
 		if obs.Enabled() {
@@ -327,11 +383,11 @@ func (c *ResultCache) Advance(oldGen, newGen uint64, newEpoch int, mask Footprin
 		}
 	}
 	rec := obs.Enabled()
-	for i := range c.shards {
-		sh := &c.shards[i]
+	for i := range c.stripes {
+		sh := &c.stripes[i]
 		sh.mu.Lock()
 		for _, e := range sh.entries {
-			if !flushAll && e.gen == oldGen && e.fp&mask == 0 && !predHitsAny(e.pred, t1, dirtyTail) {
+			if !flushAll && e.gen == oldGen && e.fp&mask == 0 && !predHitsAny(e.pred, c.t1, dirtyTail) {
 				e.gen, e.epoch = newGen, newEpoch
 				c.carried.Add(1)
 				if rec {
@@ -369,8 +425,8 @@ func (c *ResultCache) Stats() CacheStats {
 		Flushes:        c.flushes.Load(),
 		SkippedStale:   c.skippedStale.Load(),
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
+	for i := range c.stripes {
+		sh := &c.stripes[i]
 		sh.mu.Lock()
 		s.Entries += len(sh.entries)
 		s.Bytes += sh.bytes
@@ -380,10 +436,10 @@ func (c *ResultCache) Stats() CacheStats {
 }
 
 // store inserts e (replacing any entry under the same key) and evicts
-// from the LRU tail until the shard respects its byte budget. Entries
-// larger than the whole shard budget are not cached. Caller holds the
-// shard lock.
-func (sh *cacheShard) store(c *ResultCache, e *cacheEntry) {
+// from the LRU tail until the stripe respects its byte budget. Entries
+// larger than the whole stripe budget are not cached. Caller holds the
+// stripe lock.
+func (sh *cacheStripe) store(c *ResultCache, e *cacheEntry) {
 	if old := sh.entries[e.key]; old != nil {
 		sh.removeEntry(old)
 	}
@@ -403,13 +459,13 @@ func (sh *cacheShard) store(c *ResultCache, e *cacheEntry) {
 	}
 }
 
-func (sh *cacheShard) removeEntry(e *cacheEntry) {
+func (sh *cacheStripe) removeEntry(e *cacheEntry) {
 	delete(sh.entries, e.key)
 	sh.bytes -= e.bytes
 	sh.unlink(e)
 }
 
-func (sh *cacheShard) unlink(e *cacheEntry) {
+func (sh *cacheStripe) unlink(e *cacheEntry) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else if sh.head == e {
@@ -423,7 +479,7 @@ func (sh *cacheShard) unlink(e *cacheEntry) {
 	e.prev, e.next = nil, nil
 }
 
-func (sh *cacheShard) pushFront(e *cacheEntry) {
+func (sh *cacheStripe) pushFront(e *cacheEntry) {
 	e.next = sh.head
 	if sh.head != nil {
 		sh.head.prev = e
@@ -434,7 +490,7 @@ func (sh *cacheShard) pushFront(e *cacheEntry) {
 	}
 }
 
-func (sh *cacheShard) moveFront(e *cacheEntry) {
+func (sh *cacheStripe) moveFront(e *cacheEntry) {
 	if sh.head == e {
 		return
 	}

@@ -25,7 +25,7 @@ type sqlWorker struct {
 // candidate, the method re-enumerates paths and re-derives topologies
 // from scratch, which is why it is orders of magnitude slower than the
 // precomputation-based methods. The candidate queries are independent,
-// so they are sharded across the query workers; each candidate's work
+// so they are spread across the query workers; each candidate's work
 // depends only on its own topology, making results and counter totals
 // identical at every parallelism level.
 func (s *Store) SQLMethod(q Query) (QueryResult, error) {

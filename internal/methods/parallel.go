@@ -12,7 +12,6 @@ import (
 	"toposearch/internal/fault"
 	"toposearch/internal/obs"
 	"toposearch/internal/relstore"
-	"toposearch/internal/shard"
 )
 
 // faultScan fires inside each window worker of the scan-method
@@ -30,7 +29,7 @@ func (s *Store) queryWorkers(q Query) int {
 	return o.Workers()
 }
 
-// parallelFor runs fn(worker, i) for every i in [0, n), sharding the
+// parallelFor runs fn(worker, i) for every i in [0, n), spreading the
 // indices across at most w workers via an atomic cursor (the same
 // scheme the offline computation uses for start nodes). With one
 // effective worker it degenerates to a plain loop on the caller's
@@ -48,11 +47,7 @@ func parallelFor(n, w int, fn func(worker, i int)) error {
 	if w <= 1 {
 		var err error
 		func() {
-			defer func() {
-				if v := recover(); v != nil {
-					err = fault.NewPanicError("methods.parallel", v)
-				}
-			}()
+			defer fault.RecoverTo(&err, "methods.parallel")
 			for i := 0; i < n; i++ {
 				fn(0, i)
 			}
@@ -90,6 +85,20 @@ func parallelFor(n, w int, fn func(worker, i int)) error {
 	return nil
 }
 
+// equalRanges partitions [0, n) into at most w contiguous windows of
+// nearly equal position count.
+func equalRanges(n, w int) ranges {
+	w = max(1, min(w, n))
+	out := make(ranges, 0, w)
+	lo := 0
+	for i := 0; i < w; i++ {
+		hi := lo + (n-lo)/(w-i)
+		out = append(out, [2]int32{int32(lo), int32(hi)})
+		lo = hi
+	}
+	return out
+}
+
 // distinctTopsTIDs evaluates the Figure 14 join over the given Tops
 // table and returns the distinct TIDs in first-occurrence order. The
 // driving ES1 scan is cut into equal contiguous windows, one per query
@@ -98,7 +107,7 @@ func parallelFor(n, w int, fn func(worker, i int)) error {
 // and the merged counter totals, each row costing the same work in
 // whichever window it lands — are byte-identical at every parallelism.
 func (s *Store) distinctTopsTIDs(tops *relstore.Table, q Query, c *engine.Counters) ([]core.TopologyID, bool, error) {
-	windows := shard.Equal(s.T1.NumRows(), s.queryWorkers(q))
+	windows := equalRanges(s.T1.NumRows(), s.queryWorkers(q))
 	trace := q.Trace.Child("tops-join")
 	defer trace.End()
 	var winSpans []*obs.Span
@@ -196,7 +205,7 @@ func drainDistinctTIDs(plan engine.Op, tidCol int) ([]core.TopologyID, error) {
 }
 
 // prunedSurvivors runs the SQL1/SQL5 existence check for every pruned
-// topology, sharded across the query workers, and returns the TIDs
+// topology, spread across the query workers, and returns the TIDs
 // whose check found a witness, in PrunedTIDs order. Each check is
 // independent and its work depends only on its own topology, so both
 // the surviving set and the merged counter totals are identical at

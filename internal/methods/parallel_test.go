@@ -197,42 +197,9 @@ func TestConcurrentStoreBuildsSharedDB(t *testing.T) {
 	}
 }
 
-// TestEntityShardRangesCoverAndRoute pins the footprint-bucket
-// partition the result cache freezes: the cost-weighted entity ranges
-// cover the entity table exactly, Find locates every position in its
-// own range, and positions past the domain clamp to the last range.
-func TestEntityShardRangesCoverAndRoute(t *testing.T) {
-	s := generatedStore(t, 2)
-	n := s.T1.NumRows()
-	for _, buckets := range []int{1, 2, 3, 7, methods.FootprintBuckets} {
-		r := s.EntityShardRanges(buckets)
-		if len(r) != buckets {
-			t.Fatalf("%d buckets: got %d ranges", buckets, len(r))
-		}
-		lo := int32(0)
-		for i, rg := range r {
-			if rg[0] != lo || rg[1] < rg[0] {
-				t.Fatalf("%d buckets: range %d = %v not contiguous from %d", buckets, i, rg, lo)
-			}
-			lo = rg[1]
-		}
-		if int(lo) != n || r.Domain() != lo {
-			t.Fatalf("%d buckets: ranges cover [0,%d) (domain %d), want [0,%d)", buckets, lo, r.Domain(), n)
-		}
-		for pos := int32(0); pos < int32(n); pos++ {
-			if i := r.Find(pos); pos < r[i][0] || pos >= r[i][1] {
-				t.Fatalf("%d buckets: Find(%d) = range %d %v", buckets, pos, i, r[i])
-			}
-		}
-		if i := r.Find(int32(n) + 100); i != buckets-1 {
-			t.Errorf("%d buckets: position past the domain found range %d, want %d", buckets, i, buckets-1)
-		}
-	}
-}
-
 // TestMergePrunedParallelMatchesSequential pins the parallelized SQL4
 // cut-off merge: Fast-Top-k(-ET) with workers runs the pruned
-// existence checks speculatively in parallel, yet items and counter
+// existence checks eagerly in parallel, yet items and counter
 // totals stay byte-identical to the sequential merge — in the
 // underfull regime (large k: every pruned topology needs its check)
 // and the overfull-with-admissions regime (small k: the bar rises as

@@ -90,12 +90,13 @@ func TestPartialETPrefixAtEveryCut(t *testing.T) {
 	}
 }
 
-// TestSpeculativeETMatchesSequential pins that a PartialOK query whose
-// deadline never fires is the plain sequential run: the stack built
-// with per-group guards watching the query context returns items AND
-// useful-work counters byte-identical to the default stack, for every
-// ET method, both DGJ variants, several k values and predicate mixes.
-func TestSpeculativeETMatchesSequential(t *testing.T) {
+// TestPartialOKETWithoutDeadlineMatchesPlain pins that a PartialOK
+// query whose deadline never fires is the plain sequential run: the
+// stack built with per-group guards watching the query context returns
+// items AND useful-work counters byte-identical to the default stack,
+// for every ET method, both DGJ variants, several k values and
+// predicate mixes.
+func TestPartialOKETWithoutDeadlineMatchesPlain(t *testing.T) {
 	s := generatedStore(t, 2)
 	sel, err := biozon.SelectivityPred(s.T1.Schema, "selective")
 	if err != nil {
@@ -152,10 +153,10 @@ func TestSpeculativeETMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSpeculativeETCancelled pins that an already-cancelled context
+// TestCancelledETFails pins that an already-cancelled context
 // aborts an ET plan with the context's error. PartialOK only turns a
 // deadline into a partial answer; cancellation still fails the query.
-func TestSpeculativeETCancelled(t *testing.T) {
+func TestCancelledETFails(t *testing.T) {
 	s := generatedStore(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -32,7 +32,7 @@ type Query struct {
 	// Parallelism is the query-time worker count: the driving
 	// entity-set scan of the tops joins, FastTop's per-pruned-topology
 	// existence checks and the SQL strawman's per-candidate probes are
-	// sharded across this many workers. 0 inherits the store's offline
+	// spread across this many workers. 0 inherits the store's offline
 	// Parallelism setting (whose 0 means GOMAXPROCS); 1 forces
 	// sequential execution. Result items AND merged counter totals are
 	// byte-identical at every setting.

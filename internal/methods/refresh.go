@@ -38,13 +38,23 @@ type RefreshDiff struct {
 	AllTops, LeftTops, ExcpTops, TopInfo core.TableDiff
 }
 
-// Refresh derives a new Store generation for the same entity-set pair
-// after the database absorbed inserts: the topology data is maintained
-// incrementally — core.UpdateResult recomputes only the affected
-// start-node frontier on the configured worker pool and renumbers the
-// merged result exactly as a from-scratch rebuild would — then the
-// pruning pass reruns over the merged data and the four precomputed
-// tables are refreshed and their indexes and statistics warmed.
+// RefreshDiff derives a new Store generation for the same entity-set
+// pair after the database absorbed inserts: the topology data is
+// maintained incrementally — core.UpdateResult recomputes only the
+// affected start-node frontier on the configured worker pool and
+// renumbers the merged result exactly as a from-scratch rebuild would
+// — then the pruning pass reruns over the merged data and the four
+// precomputed tables are refreshed and their indexes and statistics
+// warmed.
+//
+// Instead of rematerializing all four tables from scratch, each
+// table's unchanged row runs are bulk-copied from the previous
+// generation (or the whole table reused when nothing in it changed)
+// and only rows belonging to the affected frontier — plus
+// frequency-drifted TopInfo rows — are re-encoded. The table contents
+// are byte-identical to a full rematerialization in every mode; the
+// returned diff reports what each table actually did and feeds the
+// result cache's invalidation.
 //
 // The receiver is left untouched: queries running against it keep
 // their consistent snapshot (its table pointers survive even though
@@ -57,20 +67,6 @@ type RefreshDiff struct {
 // delta.AffectedStarts). The result is byte-identical to
 // BuildStoreFromGraph over g, at any parallelism, but only pays path
 // enumeration for the frontier.
-func (s *Store) Refresh(ctx context.Context, g *graph.Graph, affected map[graph.NodeID]bool) (*Store, error) {
-	ns, _, err := s.RefreshDiff(ctx, g, affected)
-	return ns, err
-}
-
-// RefreshDiff is Refresh with the diff-aware materializer made
-// observable: instead of rematerializing all four precomputed tables
-// from scratch, each table's unchanged row runs are bulk-copied from
-// the previous generation (or the whole table reused when nothing in
-// it changed) and only rows belonging to the affected frontier — plus
-// frequency-drifted TopInfo rows — are re-encoded. The table contents
-// are byte-identical to a full rematerialization in every mode; the
-// returned diff reports what each table actually did and feeds the
-// result cache's invalidation.
 func (s *Store) RefreshDiff(ctx context.Context, g *graph.Graph, affected map[graph.NodeID]bool) (*Store, *RefreshDiff, error) {
 	if err := faultRefresh.Hit(); err != nil {
 		return nil, nil, err
@@ -102,14 +98,6 @@ func (s *Store) RefreshDiff(ctx context.Context, g *graph.Graph, affected map[gr
 		obsRefreshTables.With("LeftTops", d.LeftTops.Mode).Inc()
 		obsRefreshTables.With("ExcpTops", d.ExcpTops.Mode).Inc()
 		obsRefreshTables.With("TopInfo", d.TopInfo.Mode).Inc()
-	}
-	if d.AllTops.Reused() {
-		// The entity weight profile is a pure function of T1 and the
-		// AllTops fan-outs; an unchanged AllTops means the profile is
-		// unchanged too (new fan-out-free entities produce no results, so
-		// ranges cut by the carried profile lose nothing). This skips the
-		// O(T1) prefix recomputation for entity-only and no-op frontiers.
-		ns.entityPrefix = s.entityPrefix
 	}
 	if err := ns.warmIndexes(); err != nil {
 		return nil, nil, err

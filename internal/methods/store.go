@@ -14,7 +14,6 @@ import (
 	"toposearch/internal/core"
 	"toposearch/internal/graph"
 	"toposearch/internal/relstore"
-	"toposearch/internal/shard"
 )
 
 // StoreConfig controls the offline phase: topology computation options
@@ -65,14 +64,6 @@ type Store struct {
 	Gen uint64
 
 	sigToPath map[graph.PathSig]graph.SchemaPath
-
-	// entityPrefix is the per-generation entity weight profile:
-	// entityPrefix[p+1] - entityPrefix[p] = 1 + the AllTops fan-out of
-	// the entity at T1 position p (one scan charge plus its tops join
-	// matches — the dominant per-row cost of the Figure 14 plans).
-	// The result cache's footprint buckets are cut from it (see
-	// EntityShardRanges).
-	entityPrefix []int64
 }
 
 // BuildStore runs the offline phase for one entity-set pair: build the
@@ -184,33 +175,9 @@ func (s *Store) warmIndexes() error {
 	for _, t := range []*relstore.Table{s.T1, s.T2, s.AllTops, s.LeftTops, s.ExcpTops, s.TopInfo} {
 		t.Stats()
 	}
-	// Entity weight profile for EntityShardRanges (see the field doc).
-	// The E1 hash index doubles as the probe index of the tops joins. A
-	// refresh that carried AllTops over unchanged pre-seeds entityPrefix
-	// with the previous generation's profile, skipping the O(T1) rebuild.
-	e1Idx, err := s.AllTops.CreateHashIndex("E1")
-	if err != nil {
-		return err
-	}
-	if s.entityPrefix != nil {
-		return nil
-	}
-	keyCol := s.T1.Schema.KeyCol
-	n := s.T1.NumRows()
-	prefix := make([]int64, n+1)
-	for pos := int32(0); pos < int32(n); pos++ {
-		w := 1 + int64(len(e1Idx.LookupInt(s.T1.IntAt(pos, keyCol))))
-		prefix[pos+1] = prefix[pos] + w
-	}
-	s.entityPrefix = prefix
-	return nil
-}
-
-// EntityShardRanges cuts the T1 position space into n cost-weighted
-// contiguous ranges, balanced by each entity's AllTops fan-out. The
-// cut is a pure function of the store generation's weight profile.
-func (s *Store) EntityShardRanges(n int) shard.Ranges {
-	return shard.FromPrefix(s.entityPrefix, n)
+	// The E1 hash index is the probe index of the tops joins.
+	_, err := s.AllTops.CreateHashIndex("E1")
+	return err
 }
 
 func (s *Store) opts() core.Options {

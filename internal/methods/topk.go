@@ -63,7 +63,7 @@ func (s *Store) FastTopK(q Query) (QueryResult, error) {
 
 // mergePruned applies the SQL4 cut-off and runs SQL5 for each pruned
 // topology that could still reach the top k. It returns the merged
-// result plus the speculative work its parallel phase burned beyond
+// result plus the surplus work its parallel phase burned beyond
 // what the sequential loop charges.
 //
 // The cut-off compares each pruned candidate against the current k-th
@@ -72,7 +72,7 @@ func (s *Store) FastTopK(q Query) (QueryResult, error) {
 // decisions are inherently sequential. But the executed set can only
 // SHRINK as the bar rises: a candidate cut off against the initial
 // k-th result stays cut off forever. So with workers available the
-// checks passing the initial cut-off run speculatively in parallel
+// checks passing the initial cut-off run eagerly in parallel
 // (each into private counters), and a sequential replay then re-walks
 // the candidates in order, re-applying the cut-off against the
 // evolving bar and charging exactly the checks the classical loop

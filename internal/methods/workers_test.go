@@ -11,13 +11,13 @@ import (
 	"toposearch/internal/relstore"
 )
 
-// TestShardedETMatchesSingleStore pins that an ET query's answer does
-// not depend on how its work is split: for both ET methods, both DGJ
+// TestETMatchesAcrossWorkerCounts pins that an ET query's answer does
+// not depend on how many query workers split its work: for both ET methods, both DGJ
 // variants and several k values, with Fast-Top-k-ET's pruned-topology
 // checks fanned out over 2, 3 or 8 query workers, and with or without
 // the PartialOK guard stack, items AND useful-work counters are
 // byte-identical to the one-worker run.
-func TestShardedETMatchesSingleStore(t *testing.T) {
+func TestETMatchesAcrossWorkerCounts(t *testing.T) {
 	s := generatedStore(t, 2)
 	sel, err := biozon.SelectivityPred(s.T1.Schema, "selective")
 	if err != nil {
@@ -68,12 +68,12 @@ func TestShardedETMatchesSingleStore(t *testing.T) {
 	}
 }
 
-// TestShardedScanMethodsMatchSingleStore pins the scan-method half:
+// TestScanMethodsMatchAcrossWorkerCounts pins the scan-method half:
 // Full-Top/Fast-Top/Full-Top-k/Fast-Top-k cut the driving entity scan
 // into one contiguous window per query worker, and at 2, 3 and 8
 // windows return byte-identical items and counter totals to the
 // single-window run.
-func TestShardedScanMethodsMatchSingleStore(t *testing.T) {
+func TestScanMethodsMatchAcrossWorkerCounts(t *testing.T) {
 	s := generatedStore(t, 2)
 	med, err := biozon.SelectivityPred(s.T1.Schema, "medium")
 	if err != nil {

@@ -164,7 +164,7 @@ func (s *Span) toNode(parentBegin time.Time) *node {
 	for _, c := range kids {
 		n.Children = append(n.Children, c.toNode(begin))
 	}
-	// Concurrent children (shard executors, ET segments) are appended
+	// Concurrent children (scan windows) are appended
 	// in spawn order; sort by start offset so the tree reads in time
 	// order.
 	sort.SliceStable(n.Children, func(i, j int) bool {

@@ -45,8 +45,8 @@ func postSearch(sv *serve.Server, body string) *httptest.ResponseRecorder {
 
 // TestServeSearchDecoderRejects pins the /v1/search decoder's bounds:
 // a body over the 1 MiB cap, a second JSON value after the object, and
-// an unknown field (speculation and shards are not part of the wire
-// request) are all 400s that never reach the searcher pool.
+// an unknown field (two fields of a deleted execution mode are not part
+// of the wire request) are all 400s that never reach the searcher pool.
 func TestServeSearchDecoderRejects(t *testing.T) {
 	db, err := toposearch.Figure3()
 	if err != nil {

@@ -4,7 +4,7 @@
 // specification: items, counter totals and plan choices must be
 // byte-identical to it at every setting — this is the gate that lets
 // any execution strategy ship without golden files for every workload
-// shape (CI runs it via -run SpecEquivalence).
+// shape (CI runs it via -run ParallelismEquivalence).
 package toposearch_test
 
 import (
@@ -61,7 +61,7 @@ func randomQueries(t *testing.T, rng *rand.Rand, st *methods.Store, n int) []met
 	return qs
 }
 
-func TestSpecEquivalenceRandomized(t *testing.T) {
+func TestParallelismEquivalenceRandomized(t *testing.T) {
 	seeds := []int64{3, 1234}
 	if testing.Short() {
 		seeds = seeds[:1]
@@ -132,12 +132,12 @@ func TestSpecEquivalenceRandomized(t *testing.T) {
 	}
 }
 
-// TestSpecConcurrentSearchRefreshHammer races parallel searches — scan
+// TestParallelismConcurrentSearchRefreshHammer races parallel searches — scan
 // windows, ET drains and pruned-topology merges on 4 query workers —
 // against live batch application, incremental refreshes and
 // compactions (run under -race in CI): every query must keep
 // succeeding on one consistent store generation.
-func TestSpecConcurrentSearchRefreshHammer(t *testing.T) {
+func TestParallelismConcurrentSearchRefreshHammer(t *testing.T) {
 	defer assertNoGoroutineLeak(t, goroutineBaseline())
 	ctx := context.Background()
 	db, err := toposearch.Synthetic(1, 7)

@@ -17,7 +17,6 @@ import (
 	"toposearch/internal/obs"
 	"toposearch/internal/ranking"
 	"toposearch/internal/relstore"
-	"toposearch/internal/shard"
 )
 
 // EnginePanicError is the typed containment of a panic that occurred
@@ -60,8 +59,8 @@ type SearcherConfig struct {
 	// meaningful for MaxLen >= 4.
 	WeakPruning bool
 	// Parallelism is the worker count of both phases. Offline, start
-	// nodes are sharded across this many workers; online, every Search
-	// shards its driving entity scan and the per-pruned-topology
+	// nodes are spread across this many workers; online, every Search
+	// splits its driving entity scan and the per-pruned-topology
 	// existence checks the same way (0 = GOMAXPROCS, 1 = sequential).
 	// The precomputed tables AND every query result are byte-identical
 	// at every setting.
@@ -115,13 +114,8 @@ type Searcher struct {
 
 	store atomic.Pointer[methods.Store]
 
-	// cache is the generation-tagged result cache (nil when disabled);
-	// cacheRanges is the entity-bucket partition its dependency
-	// footprints are recorded against, frozen at construction — table
-	// positions are append-only, so the position→bucket mapping stays
-	// valid across every later generation.
-	cache       *methods.ResultCache
-	cacheRanges shard.Ranges
+	// cache is the generation-tagged result cache (nil when disabled).
+	cache *methods.ResultCache
 
 	refreshMu sync.Mutex // serializes Refresh
 	cursor    int        // applied-edge log position this searcher has absorbed
@@ -229,10 +223,7 @@ func (db *DB) NewSearcherContext(ctx context.Context, es1, es2 string, cfg Searc
 	s.cursor = db.log.Len()
 	db.cursors[s] = s.cursor
 	db.mu.Unlock()
-	var t0 time.Time
-	if obs.Enabled() {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	st, err := methods.BuildStoreFromGraph(ctx, db.rel, g, db.sg, es1, es2, methods.StoreConfig{
 		Opts:           opts,
 		PruneThreshold: threshold,
@@ -242,7 +233,7 @@ func (db *DB) NewSearcherContext(ctx context.Context, es1, es2 string, cfg Searc
 		s.Close()
 		return nil, err
 	}
-	if !t0.IsZero() {
+	if obs.Enabled() {
 		obsBuildDur.Observe(time.Since(t0).Seconds())
 	}
 	s.store.Store(st)
@@ -251,8 +242,10 @@ func (db *DB) NewSearcherContext(ctx context.Context, es1, es2 string, cfg Searc
 		if bytes == 0 {
 			bytes = 64 << 20
 		}
-		s.cache = methods.NewResultCache(bytes)
-		s.cacheRanges = st.EntityShardRanges(methods.FootprintBuckets)
+		if s.cache, err = methods.NewResultCache(bytes, st); err != nil {
+			s.Close()
+			return nil, err
+		}
 	}
 	return s, nil
 }
@@ -326,15 +319,8 @@ func (s *Searcher) RefreshContext(ctx context.Context) (n int, err error) {
 			obsDeltaBytes.Set(float64(s.db.rel.DeltaBytes()))
 		}()
 	}
-	defer func() {
-		if v := recover(); v != nil {
-			n, err = 0, fault.NewPanicError("searcher.refresh", v)
-		}
-		var pe *EnginePanicError
-		if errors.As(err, &pe) {
-			s.met.panics.Inc()
-		}
-	}()
+	defer s.countPanics(&err)
+	defer fault.RecoverTo(&err, "searcher.refresh")
 	s.refreshMu.Lock()
 	defer s.refreshMu.Unlock()
 	if s.closed {
@@ -367,7 +353,7 @@ func (s *Searcher) RefreshContext(ctx context.Context) (n int, err error) {
 	var mask methods.Footprint
 	var tail []int32
 	if s.cache != nil && diff.TidStable {
-		mask, tail = ns.InvalidationSet(diff, affected, s.cacheRanges)
+		mask, tail = s.cache.InvalidationSet(ns, diff, affected)
 	}
 	s.store.Store(ns)
 	s.lastDiff = diff
@@ -377,7 +363,8 @@ func (s *Searcher) RefreshContext(ctx context.Context) (n int, err error) {
 		// retagged into the new generation; only intersecting entries
 		// are dropped. An unstable topology registry renumbers IDs, so
 		// nothing cached can be trusted — flush.
-		s.cache.Advance(st.Gen, ns.Gen, cursor, mask, tail, ns.T1, !diff.TidStable)
+		s.cache.Advance(st.Gen, ns.Gen, cursor, mask, tail, !diff.TidStable)
+		s.syncCacheGauges()
 	}
 	s.advanceCursor(cursor)
 	return len(edges), nil
@@ -577,12 +564,19 @@ func (s *Searcher) acquire(ctx context.Context) (degraded bool, release func(), 
 // execution engine — including this call's own goroutine — surfaces as
 // a *EnginePanicError instead of crashing the process, and sibling
 // queries are unaffected.
+//
+// Every query runs one chain: admit, compile, execute, shape. Execute
+// goes through the result cache when there is one and the query has
+// neither a Deadline nor PartialOK; otherwise it runs the method
+// directly. Deadline-bounded queries bypass the cache: a partial answer
+// must never be cached, and the cache's detached fill deliberately
+// ignores per-caller deadlines.
 func (s *Searcher) SearchContext(ctx context.Context, q SearchQuery) (res *SearchResult, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Latency metric: installed before the recover defer (LIFO) so it
-	// observes the final res/err, including a contained panic. One
+	// Latency metric: installed before the containment defers (LIFO) so
+	// it observes the final res/err, including a contained panic. One
 	// atomic load when telemetry is off.
 	if obs.Enabled() {
 		t0 := time.Now()
@@ -593,30 +587,19 @@ func (s *Searcher) SearchContext(ctx context.Context, q SearchQuery) (res *Searc
 				status = "shed"
 			case err != nil:
 				status = "error"
-			case res != nil && res.Partial:
+			case res.Partial:
 				status = "partial"
 			}
 			obsQueryDur.With(q.method(), status).Observe(time.Since(t0).Seconds())
-			if s.cache != nil {
-				cs := s.cache.Stats()
-				s.met.cacheBytes.Set(float64(cs.Bytes))
-				s.met.cacheEntries.Set(float64(cs.Entries))
-			}
 		}()
 	}
 	// Hold the lifecycle read side for the whole call so Close can
 	// drain in-flight queries.
 	s.lifecycle.RLock()
 	defer s.lifecycle.RUnlock()
-	defer func() {
-		if v := recover(); v != nil {
-			res, err = nil, fault.NewPanicError("searcher.search", v)
-		}
-		var pe *EnginePanicError
-		if errors.As(err, &pe) {
-			s.met.panics.Inc()
-		}
-	}()
+	defer s.countPanics(&err)
+	defer fault.RecoverTo(&err, "searcher.search")
+
 	var root *TraceSpan
 	if q.Trace {
 		root = obs.NewTrace("search")
@@ -639,101 +622,116 @@ func (s *Searcher) SearchContext(ctx context.Context, q SearchQuery) (res *Searc
 	if err != nil {
 		return nil, err
 	}
-	m := q.method()
-	// finishTrace seals the span tree onto a successful result. Traced
-	// or not, the work performed is identical — spans only record
-	// timings — so traced results stay byte-identical to untraced ones.
-	finishTrace := func(r *SearchResult) {
-		if root != nil && r != nil {
-			root.End()
-			r.Trace = root
-		}
-	}
-	if q.Deadline > 0 || q.PartialOK {
-		// Deadline-bounded queries bypass the cache entirely: a partial
-		// answer must never be cached, and the cache's detached fill
-		// deliberately ignores per-caller deadlines.
-		mq.PartialOK = q.PartialOK
-		mq.Trace = root.Child("execute")
+
+	var out *SearchResult
+	hit := false
+	if s.cache != nil && q.Deadline == 0 && !q.PartialOK {
+		out, hit, err = s.execCached(ctx, st, q, mq, root)
+	} else {
 		if q.Deadline > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, q.Deadline)
 			defer cancel()
 		}
-		res, err := s.execSearch(ctx, st, m, mq)
-		if err != nil {
-			return nil, err
-		}
-		if res.Partial {
-			s.met.partials.Inc()
-		}
-		res.Degraded = degraded
-		finishTrace(res)
-		return res, nil
-	}
-	if s.cache == nil {
+		mq.PartialOK = q.PartialOK
 		mq.Trace = root.Child("execute")
-		res, err := s.execSearch(ctx, st, m, mq)
-		if res != nil {
-			res.Degraded = degraded
-			finishTrace(res)
-		}
-		return res, err
+		out, err = s.execSearch(ctx, st, q.method(), mq)
 	}
-	// Cache lookup under the (generation, edge-log position) tag: the
-	// store snapshot plus the applied-edge log position pin everything a
-	// result can depend on (method executors also read the live base
-	// tables, which only change when a batch appends to the log).
-	// The fill runs detached from this caller's context: if this caller
-	// is cancelled mid-fill, waiters collapsed onto the flight still get
-	// a completed result, and this caller returns its ctx error.
-	//
-	// The epoch is snapshotted here, before the fill can start, and
-	// re-read after the fill's last base-table read: a batch applied
-	// mid-fill means the execution may have observed post-epoch rows, so
-	// the result is returned to the waiters but never cached under the
-	// pre-fill tag (which would break the cached-results-byte-identical
-	// invariant for any query that read the epoch before the batch).
-	key := searchCacheKey(q)
+	if err != nil {
+		return nil, err
+	}
+
+	out.CacheHit, out.Degraded = hit, degraded
+	if out.Partial {
+		s.met.partials.Inc()
+	}
+	// Traced or not, the work performed is identical — spans only record
+	// timings — so traced results stay byte-identical to untraced ones.
+	if root != nil {
+		root.End()
+		out.Trace = root
+	}
+	return out, nil
+}
+
+// execCached answers the query through the result cache and reports
+// whether the answer was a hit. The returned result is the caller's own
+// copy.
+//
+// The lookup is tagged (generation, edge-log position): the store
+// snapshot plus the applied-edge log position pin everything a result
+// can depend on (method executors also read the live base tables,
+// which only change when a batch appends to the log). The fill runs
+// detached from this caller's context: if this caller is cancelled
+// mid-fill, waiters collapsed onto the flight still get a completed
+// result, and this caller returns its ctx error.
+//
+// The epoch is snapshotted here, before the fill can start, and re-read
+// after the fill's last base-table read: a batch applied mid-fill means
+// the execution may have observed post-epoch rows, so the result is
+// returned to the waiters but never cached under the pre-fill tag
+// (which would break the cached-results-byte-identical invariant for
+// any query that read the epoch before the batch).
+func (s *Searcher) execCached(ctx context.Context, st *methods.Store, q SearchQuery, mq methods.Query, root *TraceSpan) (*SearchResult, bool, error) {
 	epoch := s.db.log.Len()
 	fillCtx := context.WithoutCancel(ctx)
 	lookup := root.Child("cache.lookup")
-	v, hit, err := s.cache.GetOrCompute(ctx, key, st.Gen, epoch, func() (any, int64, methods.Footprint, relstore.Pred, bool, error) {
+	defer lookup.End()
+	v, hit, err := s.cache.GetOrCompute(ctx, searchCacheKey(q), st.Gen, epoch, func() (any, int64, relstore.Pred, bool, error) {
 		// This closure runs only for the flight that computes the
 		// entry, so a fill span here always belongs to this caller's
 		// own tree. The cached value itself never carries a trace.
 		fmq := mq
 		fmq.Trace = lookup.Child("cache.fill")
-		res, err := s.execSearch(fillCtx, st, m, fmq)
+		res, err := s.execSearch(fillCtx, st, q.method(), fmq)
 		fmq.Trace.End()
 		if err != nil {
-			return nil, 0, 0, nil, false, err
+			return nil, 0, nil, false, err
 		}
-		fp := methods.QueryFootprint(st.T1, mq.Pred1, s.cacheRanges)
 		// Epoch re-check, AFTER the last base-table read above. Taken
-		// under db.mu: ApplyBatch makes rows visible and appends to the
-		// log while holding that lock, so once we acquire it any batch
-		// whose rows this fill could have observed has finished its
-		// append — Len moved — and the entry is skipped.
-		cacheable := s.epochSettled() == epoch
-		return res, res.approxBytes(), fp, mq.Pred1, cacheable, nil
+		// under db.mu, unlike a bare log.Len(): ApplyBatch makes rows
+		// visible and appends to the log while holding that lock, so
+		// once we acquire it any batch whose rows this fill could have
+		// observed has finished its append — Len moved — and the entry
+		// is skipped.
+		s.db.mu.Lock()
+		cacheable := s.db.log.Len() == epoch
+		s.db.mu.Unlock()
+		return res, res.approxBytes(), mq.Pred1, cacheable, nil
 	})
-	if lookup != nil {
-		if hit {
-			lookup.SetInt("hit", 1)
-		} else {
-			lookup.SetInt("hit", 0)
-		}
-		lookup.End()
-	}
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	out := v.(*SearchResult).clone()
-	out.CacheHit = hit
-	out.Degraded = degraded
-	finishTrace(out)
-	return out, nil
+	if hit {
+		lookup.SetInt("hit", 1)
+	} else {
+		lookup.SetInt("hit", 0)
+		s.syncCacheGauges() // a fill is the only search that changes residency
+	}
+	return v.(*SearchResult).clone(), hit, nil
+}
+
+// syncCacheGauges publishes the cache's resident set to its gauges. It
+// runs only where residency changes — after a fill and after a
+// generation advance — so cache hits never lock the stripes for it.
+func (s *Searcher) syncCacheGauges() {
+	if !obs.Enabled() {
+		return
+	}
+	cs := s.cache.Stats()
+	s.met.cacheBytes.Set(float64(cs.Bytes))
+	s.met.cacheEntries.Set(float64(cs.Entries))
+}
+
+// countPanics counts a contained panic in PanicsContained. Deferred
+// just before fault.RecoverTo, it runs after it and so sees both a
+// panic recovered at this boundary and one contained further down (a
+// scan window, a cache fill) and returned as an error.
+func (s *Searcher) countPanics(errp *error) {
+	var pe *EnginePanicError
+	if errors.As(*errp, &pe) {
+		s.met.panics.Inc()
+	}
 }
 
 // execSearch runs the query against the store generation and shapes
@@ -760,18 +758,6 @@ func (s *Searcher) execSearch(ctx context.Context, st *methods.Store, m string, 
 		})
 	}
 	return out, nil
-}
-
-// epochSettled reads the applied-edge log length under db.mu. Unlike a
-// bare log.Len() — safe but racy against a batch that has already made
-// its rows visible and not yet appended to the log — acquiring db.mu
-// orders the read after any in-flight ApplyBatch completes, so a cache
-// fill comparing this against its pre-fill snapshot detects every
-// batch whose rows it could have observed.
-func (s *Searcher) epochSettled() int {
-	s.db.mu.Lock()
-	defer s.db.mu.Unlock()
-	return s.db.log.Len()
 }
 
 // searchCacheKey canonicalizes the result-identity part of the query:
@@ -824,12 +810,8 @@ func (r *SearchResult) approxBytes() int64 {
 func (s *Searcher) guardAccessor(site string, fn func() error) (err error) {
 	s.lifecycle.RLock()
 	defer s.lifecycle.RUnlock()
-	defer func() {
-		if v := recover(); v != nil {
-			err = fault.NewPanicError(site, v)
-			s.met.panics.Inc()
-		}
-	}()
+	defer s.countPanics(&err)
+	defer fault.RecoverTo(&err, site)
 	if err = faultAccessor.Hit(); err != nil {
 		return err
 	}
@@ -859,10 +841,7 @@ func (s *Searcher) Explain(q SearchQuery) (string, error) {
 		plan = fmt.Sprintf("chosen plan: %s\n%s", choice.Kind, p)
 		return nil
 	})
-	if err != nil {
-		return "", err
-	}
-	return plan, nil
+	return plan, err
 }
 
 // Instances lists up to limit entity pairs related by the topology
