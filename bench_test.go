@@ -8,9 +8,12 @@ package toposearch_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
+	"toposearch"
 	"toposearch/internal/biozon"
 	"toposearch/internal/canon"
 	"toposearch/internal/core"
@@ -493,6 +496,85 @@ func BenchmarkCanonScaling(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				canon.Canonical(g)
+			}
+		})
+	}
+}
+
+// coldGridKeys returns the first n keys of the serve-cold grid walked at
+// seed 42, the keys offline-build's search panel starts with (the grid
+// of bench/workloads.go: {token subset on cons1} x {token subset on
+// cons2} x {DNA type} x k x ranking x method). Every key is distinct.
+func coldGridKeys(n int) []toposearch.SearchQuery {
+	tokens := []string{"kwsel15", "kwsel50", "kwsel85", "enzyme"}
+	types := []string{"", "mRNA", "genomic", "EST"}
+	rankings := []string{toposearch.RankFreq, toposearch.RankRare, toposearch.RankDomain}
+	allK := []string{"full-top", "fast-top"}
+	topK := []string{"full-top", "fast-top", "full-top-k", "fast-top-k",
+		"full-top-k-et", "fast-top-k-et", "full-top-k-opt", "fast-top-k-opt"}
+	const perCell = 2 + 20*3*8
+	const size = 16 * 16 * 4 * perCell
+	subset := func(mask int) []toposearch.Constraint {
+		var cs []toposearch.Constraint
+		for b, tok := range tokens {
+			if mask&(1<<b) != 0 {
+				cs = append(cs, toposearch.Constraint{Column: "desc", Keyword: tok})
+			}
+		}
+		return cs
+	}
+	keys := make([]toposearch.SearchQuery, n)
+	for i, g := range rand.New(rand.NewSource(42)).Perm(size)[:n] {
+		cell, r := g/perCell, g%perCell
+		q := toposearch.SearchQuery{Cons1: subset(cell & 15), Cons2: subset((cell >> 4) & 15)}
+		if typ := types[cell>>8]; typ != "" {
+			q.Cons2 = append(q.Cons2, toposearch.Constraint{Column: "type", Equals: typ})
+		}
+		if r < 2 {
+			q.Method = allK[r]
+		} else {
+			r -= 2
+			q.K, q.Ranking, q.Method = 1+r/24, rankings[(r%24)/8], topK[r%8]
+		}
+		keys[i] = q
+	}
+	return keys
+}
+
+// BenchmarkColdMiss replays a fixed 200-key slice of the serve-cold grid
+// on the benchmark's database (scale 4, seed 42) through a cache-off
+// Searcher, one sub-benchmark per method: an op is one result-cache
+// miss, cycling through that method's keys, so time and allocations
+// per miss are per method and repeatable.
+func BenchmarkColdMiss(b *testing.B) {
+	db, err := toposearch.Synthetic(4, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := toposearch.DefaultSearcherConfig()
+	cfg.CacheBytes = -1
+	s, err := db.NewSearcher(toposearch.Protein, toposearch.DNA, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	byMethod := map[string][]toposearch.SearchQuery{}
+	var order []string
+	for _, q := range coldGridKeys(200) {
+		if byMethod[q.Method] == nil {
+			order = append(order, q.Method)
+		}
+		byMethod[q.Method] = append(byMethod[q.Method], q)
+	}
+	sort.Strings(order)
+	for _, m := range order {
+		keys := byMethod[m]
+		b.Run(m, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Search(keys[i%len(keys)]); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -148,7 +148,8 @@ type HDGJ struct {
 	done    bool
 
 	groupOrd int
-	emit     []relstore.Row
+	emit     []relstore.Row // the current group's output; emitted up to next
+	next     int
 	buf      relstore.Row
 }
 
@@ -171,7 +172,7 @@ func (j *HDGJ) Columns() []string { return j.cols }
 // Open implements Op.
 func (j *HDGJ) Open() error {
 	j.pending, j.havePen, j.done = nil, false, false
-	j.emit = nil
+	j.emit, j.next = nil, 0
 	j.groupOrd = -1
 	return j.Outer.Open()
 }
@@ -179,7 +180,7 @@ func (j *HDGJ) Open() error {
 // loadGroup pulls every outer tuple of the next group, joins it against
 // a fresh scan of the inner relation, and fills the emit queue.
 func (j *HDGJ) loadGroup() error {
-	j.emit = j.emit[:0]
+	j.emit, j.next = j.emit[:0], 0
 	var group []relstore.Row
 	var ord int
 	if j.havePen {
@@ -243,9 +244,9 @@ func (j *HDGJ) loadGroup() error {
 // Next implements Op.
 func (j *HDGJ) Next() (relstore.Row, bool, error) {
 	for {
-		if len(j.emit) > 0 {
-			j.buf = j.emit[0]
-			j.emit = j.emit[1:]
+		if j.next < len(j.emit) {
+			j.buf = j.emit[j.next]
+			j.next++
 			return j.buf, true, nil
 		}
 		if j.done {
@@ -267,7 +268,7 @@ func (j *HDGJ) Close() error { return j.Outer.Close() }
 // current group. The lookahead tuple (if any) already belongs to the
 // next group; when there is none, delegate the skip to the outer.
 func (j *HDGJ) AdvanceToNextGroup() error {
-	j.emit = j.emit[:0]
+	j.emit, j.next = j.emit[:0], 0
 	if j.havePen || j.done {
 		return nil
 	}

@@ -67,8 +67,11 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
-// optRun chooses between the regular top-k plan and the ET plans using
-// the Section 5.4 cost model, then executes the winner.
+// optRun chooses between the regular top-k plan and the IDGJ ET plan
+// using the Section 5.4 cost model, then executes the winner with the
+// IDGJ middle join: the result is always the one its X-k or X-k-ET
+// method gives. The HDGJ worst plan is reachable only through
+// Query.UseHDGJ on the ET methods.
 func (s *Store) optRun(tops *relstore.Table, fast bool, q Query) (QueryResult, error) {
 	osp := q.Trace.Child("optimize")
 	reg, stack, err := s.gatherStats(tops, q)
@@ -82,7 +85,7 @@ func (s *Store) optRun(tops *relstore.Table, fast bool, q Query) (QueryResult, e
 		osp.End()
 	}
 	run := q
-	run.UseHDGJ = choice.Kind == optimizer.PlanETHash
+	run.UseHDGJ = false
 	var res QueryResult
 	switch {
 	case choice.Kind == optimizer.PlanRegular && fast:
@@ -101,13 +104,15 @@ func (s *Store) optRun(tops *relstore.Table, fast bool, q Query) (QueryResult, e
 	return res, nil
 }
 
-// FullTopKOpt chooses the better of Full-Top-k and Full-Top-k-ET.
+// FullTopKOpt chooses the better of Full-Top-k and Full-Top-k-ET (with
+// the IDGJ middle join).
 func (s *Store) FullTopKOpt(q Query) (QueryResult, error) {
 	return s.optRun(s.AllTops, false, q)
 }
 
-// FastTopKOpt chooses the better of Fast-Top-k and Fast-Top-k-ET — the
-// method the paper recommends ("best of both worlds", Section 6.2.2).
+// FastTopKOpt chooses the better of Fast-Top-k and Fast-Top-k-ET (with
+// the IDGJ middle join) — the method the paper recommends ("best of
+// both worlds", Section 6.2.2).
 func (s *Store) FastTopKOpt(q Query) (QueryResult, error) {
 	return s.optRun(s.LeftTops, true, q)
 }

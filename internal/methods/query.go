@@ -22,8 +22,10 @@ type Query struct {
 	K     int           // top-k for the *-k methods
 	// Ranking names the score column ("freq", "rare", "domain").
 	Ranking string
-	// UseHDGJ switches the ET plans' middle join to the HDGJ
-	// implementation — the "worst plan" variant of Table 2.
+	// UseHDGJ switches the ET methods' middle join to the HDGJ
+	// implementation — the "worst plan" variant of Table 2, kept for
+	// the ablation runs. The Opt methods ignore it: they always run
+	// the IDGJ plan when they choose early termination.
 	UseHDGJ bool
 	// Ctx optionally carries a cancellation context. When set, the
 	// execution plans abort with its error once it is cancelled (nil
@@ -136,6 +138,16 @@ func (s *Store) dispatch(method string, q Query) (QueryResult, error) {
 	sp := q.Trace.Child("method " + method)
 	if sp != nil {
 		q.Trace = sp
+	}
+	// The plans test the same entity rows again and again (every inner
+	// probe, every HDGJ rescan); memoize each predicate for this call
+	// only. The caller's q keeps the raw predicates, which is what the
+	// result cache's footprint and Advance see.
+	if q.Pred1 != nil {
+		q.Pred1 = relstore.Memo(s.T1, q.Pred1)
+	}
+	if q.Pred2 != nil {
+		q.Pred2 = relstore.Memo(s.T2, q.Pred2)
 	}
 	res, err := s.runMethod(method, q)
 	if sp != nil {

@@ -31,7 +31,8 @@ const (
 	// over a score-ordered group source with early termination.
 	PlanETIndex
 	// PlanETHash is the Figure 15(b) variant using an HDGJ operator,
-	// which rescans its inner relation once per group.
+	// which rescans its inner relation once per group. Choose costs it
+	// but never picks it: it is Table 2's worst plan.
 	PlanETHash
 )
 
@@ -118,9 +119,12 @@ type Choice struct {
 	CostByPlan map[PlanKind]float64
 }
 
-// Choose compares the regular plan against the two early-termination
-// plans for a top-k query and returns the cheapest (the decision the
-// Fast-Top-k-Opt and Full-Top-k-Opt methods make). The stack's
+// Choose compares the regular plan against the IDGJ early-termination
+// plan for a top-k query and returns the cheaper — the decision the
+// Fast-Top-k-Opt and Full-Top-k-Opt methods make between their two
+// named plans (X-k and X-k-ET). The HDGJ plan is costed too, so
+// CostByPlan and Explain still rank it, but it is never chosen: it is
+// Table 2's worst plan, kept for the ablation runs only. The stack's
 // JoinStats.I should carry the random-lookup penalty
 // (DefaultProbeCostET).
 func Choose(reg RegularStats, stack StackStats, k int) Choice {
@@ -130,10 +134,8 @@ func Choose(reg RegularStats, stack StackStats, k int) Choice {
 		PlanETHash:  HDGJCost(stack, k),
 	}
 	best := PlanRegular
-	for _, kind := range []PlanKind{PlanETIndex, PlanETHash} {
-		if costs[kind] < costs[best] {
-			best = kind
-		}
+	if costs[PlanETIndex] < costs[PlanRegular] {
+		best = PlanETIndex
 	}
 	return Choice{Kind: best, CostByPlan: costs}
 }

@@ -3,6 +3,7 @@ package relstore
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // Pred is a boolean predicate over rows of one schema. Predicates are
@@ -332,3 +333,52 @@ func (p *notPred) Eval(r Row) bool                 { return !p.p.Eval(r) }
 func (p *notPred) EvalAt(t *Table, pos int32) bool { return !p.p.EvalAt(t, pos) }
 func (p *notPred) Sel(t *Table) float64            { return 1 - p.p.Sel(t) }
 func (p *notPred) String() string                  { return "NOT " + p.p.String() }
+
+// memoPred caches p's verdict per row of t: two bits per row (known,
+// holds), packed sixteen rows to a word and set with one atomic OR, so
+// concurrent evaluators of one query share it without a lock. Two
+// evaluators racing on the same unknown row both run p and OR the same
+// bits.
+type memoPred struct {
+	p    Pred
+	t    *Table
+	n    uint32 // rows memoized: t's row count when Memo was called
+	bits []uint32
+}
+
+// Memo wraps p so that EvalAt runs p at most once per row of t: the
+// first verdict for a row is remembered and later calls read it back.
+// It serves the plans that test the same entity row many times in one
+// query (every IndexJoin/IDGJ probe of the inner entity set, every HDGJ
+// rescan). Only the rows t holds when Memo is called are memoized; rows
+// appended later and positions of any other table go straight to p, as
+// do Eval, Sel and String. A memo belongs to one query and must not
+// outlive it: it does not see a rolled-back row being replaced.
+func Memo(t *Table, p Pred) Pred {
+	n := t.NumRows()
+	return &memoPred{p: p, t: t, n: uint32(n), bits: make([]uint32, (n+15)/16)}
+}
+
+func (m *memoPred) Eval(r Row) bool { return m.p.Eval(r) }
+
+func (m *memoPred) EvalAt(t *Table, pos int32) bool {
+	if t != m.t || uint32(pos) >= m.n {
+		return m.p.EvalAt(t, pos)
+	}
+	w := &m.bits[pos>>4]
+	shift := uint(pos&15) * 2
+	if v := atomic.LoadUint32(w) >> shift; v&1 != 0 {
+		return v&2 != 0
+	}
+	ok := m.p.EvalAt(t, pos)
+	v := uint32(1)
+	if ok {
+		v = 3
+	}
+	atomic.OrUint32(w, v<<shift)
+	return ok
+}
+
+func (m *memoPred) Sel(t *Table) float64 { return m.p.Sel(t) }
+
+func (m *memoPred) String() string { return m.p.String() }
