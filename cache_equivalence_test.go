@@ -1,9 +1,8 @@
 // Randomized cache-equivalence harness: a cached searcher and an
 // uncached one over the same live database must return byte-identical
-// topologies under any interleaving of Search, ApplyBatch and Refresh —
-// including results served from carried-forward entries after a
-// frontier-scoped invalidation pass. CI runs it via -run CacheEquiv
-// and races the hammer variant under -race.
+// topologies under any interleaving of Search, ApplyBatch and Refresh.
+// CI runs it via -run CacheEquiv and races the hammer variant under
+// -race.
 package toposearch_test
 
 import (
@@ -145,8 +144,7 @@ func TestCacheEquivalenceRandomized(t *testing.T) {
 				}
 			}
 			// Quiesce and sweep the whole pool one last time: every entry
-			// still resident (carried forward or not) must agree with the
-			// uncached oracle.
+			// still resident must agree with the uncached oracle.
 			for _, s := range []*toposearch.Searcher{cached, uncached, tiny} {
 				if _, err := s.Refresh(); err != nil {
 					t.Fatal(err)
@@ -165,11 +163,11 @@ func TestCacheEquivalenceRandomized(t *testing.T) {
 			if st := cached.CacheStats(); st.Hits == 0 {
 				t.Errorf("cached searcher never hit: %+v", st)
 			}
-			// The exact counters pin which entries each refresh carried
-			// forward: a change to the footprint partition that keeps
-			// every answer right but moves a bucket boundary fails here.
+			// The exact counters pin which entries each refresh dropped:
+			// a change to the invalidation rule that keeps every answer
+			// right but drops more or fewer entries fails here.
 			got := cached.CacheStats()
-			got.Evictions, got.Flushes, got.SkippedStale = 0, 0, 0
+			got.Evictions, got.SkippedStale = 0, 0
 			if want := wantCachedStats[seed]; got != want {
 				t.Errorf("cached searcher counters %+v, want %+v", got, want)
 			}
@@ -178,18 +176,18 @@ func TestCacheEquivalenceRandomized(t *testing.T) {
 }
 
 // wantCachedStats is TestCacheEquivalenceRandomized's cached searcher's
-// final CacheStats per seed (evictions, flushes and stale skips aside).
+// final CacheStats per seed (evictions and stale skips aside).
 var wantCachedStats = map[int64]methods.CacheStats{
-	5:  {Hits: 24, Misses: 11, Invalidated: 3, CarriedForward: 0, Entries: 7, Bytes: 81466},
-	77: {Hits: 21, Misses: 18, Invalidated: 9, CarriedForward: 1, Entries: 7, Bytes: 82187},
+	5:  {Hits: 24, Misses: 11, Invalidated: 3, Entries: 7, Bytes: 81466},
+	77: {Hits: 20, Misses: 19, Invalidated: 10, Entries: 7, Bytes: 82187},
 }
 
-// TestCacheCarriedForward pins the frontier-scoped invalidation
-// behavior: a query whose footprint is disjoint from an update's dirty
-// start set must keep its cache entry across Refresh (served as a hit
-// in the new generation), while the whole pipeline stays byte-identical
-// to an uncached searcher.
-func TestCacheCarriedForward(t *testing.T) {
+// TestCacheRefreshDropsEntries pins the invalidation rule: a Refresh
+// that absorbs only entities keeps every entry, and one that absorbs
+// relationships drops every entry — even when, as for a parallel
+// duplicate edge, no topology frequency moved — while the whole
+// pipeline stays byte-identical to an uncached searcher.
+func TestCacheRefreshDropsEntries(t *testing.T) {
 	db, err := toposearch.Synthetic(1, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -217,66 +215,77 @@ func TestCacheCarriedForward(t *testing.T) {
 			t.Fatalf("%s: CacheHit = %v, want %v (stats %+v)", stage, got.CacheHit, wantHit, cached.CacheStats())
 		}
 	}
+	applyAndRefresh := func(ups []toposearch.Update) {
+		t.Helper()
+		if err := db.ApplyBatch(ups); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []*toposearch.Searcher{cached, uncached} {
+			if _, err := s.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	check("cold", false)
 	check("warm", true)
 
-	// An isolated island pair: the only affected start is the new
-	// protein, whose desc does not match the query's keyword, and the
-	// parallel second edge below drifts no topology frequency.
+	// An entity with no relationship relates to nothing: the shallow
+	// refresh keeps the generation and the entry.
+	applyAndRefresh([]toposearch.Update{
+		toposearch.InsertEntity(toposearch.Protein, 1_950_000, map[string]string{"desc": "isolated protein kwsel15"}),
+	})
+	check("after entity-only batch", true)
+
+	// An isolated island pair: it drifts the direct-encodes topology's
+	// frequency, which every result surfaces.
 	p, d := int64(1_950_001), int64(2_950_001)
-	if err := db.ApplyBatch([]toposearch.Update{
+	applyAndRefresh([]toposearch.Update{
 		toposearch.InsertEntity(toposearch.Protein, p, map[string]string{"desc": "island protein"}),
 		toposearch.InsertEntity(toposearch.DNA, d, map[string]string{"type": "gene", "desc": "island dna"}),
 		toposearch.InsertRelationship("encodes", p, d),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []*toposearch.Searcher{cached, uncached} {
-		if _, err := s.Refresh(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The island's new encodes pair drifted the direct-encodes
-	// topology's frequency, so the kwsel15 entry was (correctly)
-	// invalidated: repopulate it in this generation.
+	})
 	check("after island", false)
 	check("after island warm", true)
 
-	// A parallel duplicate of the island edge: same path class, so no
-	// pair's class set and no topology frequency changes — the refresh
-	// must reuse every table and carry the entry forward.
-	if err := db.ApplyBatch([]toposearch.Update{
-		toposearch.InsertRelationship("encodes", p, d),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []*toposearch.Searcher{cached, uncached} {
-		if _, err := s.Refresh(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	diff := cached.LastRefreshDiff()
-	if diff == nil || !diff.TidStable {
-		t.Fatalf("parallel-edge refresh: diff = %+v, want stable registry", diff)
-	}
-	if len(diff.ChangedTIDs) != 0 {
-		t.Fatalf("parallel-edge refresh drifted frequencies: %v", diff.ChangedTIDs)
-	}
-	if !diff.AllTops.Reused() {
-		t.Errorf("parallel-edge refresh: AllTops %v, want reused", diff.AllTops)
-	}
-	check("carried", true)
+	// A parallel duplicate of the island edge changes no topology
+	// frequency, but the refresh still absorbed an edge: the entry is
+	// dropped all the same.
+	applyAndRefresh([]toposearch.Update{toposearch.InsertRelationship("encodes", p, d)})
+	check("after parallel edge", false)
 	st := cached.CacheStats()
-	if got := [4]int64{st.Hits, st.Misses, st.Invalidated, st.CarriedForward}; got != [4]int64{3, 2, 1, 1} {
-		t.Errorf("hits/misses/invalidated/carried = %v, want [3 2 1 1] (stats %+v)", got, st)
+	if got := [3]int64{st.Hits, st.Misses, st.Invalidated}; got != [3]int64{3, 3, 2} {
+		t.Errorf("hits/misses/invalidated = %v, want [3 3 2] (stats %+v)", got, st)
 	}
 }
 
 // TestCacheConcurrentSearchRefreshHammer races cached searches against
-// live batch application, refreshes (generation advances retagging and
-// invalidating entries) and capacity evictions from a deliberately tiny
-// cache — run under -race in CI.
+// live batch application, refreshes (generation advances emptying the
+// cache) and capacity evictions from a deliberately tiny cache — run
+// under -race in CI.
 func TestCacheConcurrentSearchRefreshHammer(t *testing.T) {
+	hammerSearchRefresh(t, 32<<10, cacheQueryPool())
+}
+
+// TestCacheFootprintConcurrentSearchRefreshHammer runs the same race
+// with a cache roomy enough that no entry is evicted, so entries leave
+// it only when a refresh that absorbs edges drops them, possibly while
+// readers are still filling them.
+func TestCacheFootprintConcurrentSearchRefreshHammer(t *testing.T) {
+	hammerSearchRefresh(t, 1<<20, []toposearch.SearchQuery{
+		{K: 5, Method: "fast-top-k", Cons1: []toposearch.Constraint{{Column: "desc", Keyword: "kwsel50"}}},
+		{Method: "full-top"},
+		{K: 8, Method: "full-top-k", Cons2: []toposearch.Constraint{{Column: "type", Equals: "mRNA"}}},
+	})
+}
+
+// hammerSearchRefresh runs six searchers, each repeating one query of
+// pool, against four ApplyBatch + Refresh rounds with auto-compaction
+// on. Scan methods cut the driving entity scan into one window per
+// query worker. Every query must keep succeeding on one consistent
+// store generation, and afterwards the cached, windowed searcher must
+// answer exactly as a fresh sequential searcher with the cache off.
+func hammerSearchRefresh(t *testing.T, cacheBytes int64, pool []toposearch.SearchQuery) {
+	t.Helper()
 	defer assertNoGoroutineLeak(t, goroutineBaseline())
 	ctx := context.Background()
 	db, err := toposearch.Synthetic(1, 7)
@@ -285,13 +294,12 @@ func TestCacheConcurrentSearchRefreshHammer(t *testing.T) {
 	}
 	db.SetAutoCompact(0.25)
 	s, err := db.NewSearcherContext(ctx, toposearch.Protein, toposearch.DNA, toposearch.SearcherConfig{
-		MaxLen: 3, PruneThreshold: 8, MaxCombinations: 2048, Parallelism: 4,
-		CacheBytes: 32 << 10, // tiny: forces eviction churn under load
+		MaxLen: 3, PruneThreshold: 8, MaxCombinations: 2048, Parallelism: 4, CacheBytes: cacheBytes,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := cacheQueryPool()
+	defer s.Close()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 6; w++ {
@@ -337,13 +345,13 @@ func TestCacheConcurrentSearchRefreshHammer(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// Quiesced: cached answers must equal a cache-bypassing baseline.
 	fresh, err := db.NewSearcherContext(ctx, toposearch.Protein, toposearch.DNA, toposearch.SearcherConfig{
-		MaxLen: 3, PruneThreshold: 8, MaxCombinations: 2048, Parallelism: 4, CacheBytes: -1,
+		MaxLen: 3, PruneThreshold: 8, MaxCombinations: 2048, Parallelism: 1, CacheBytes: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer fresh.Close()
 	for qi, q := range pool {
 		want, err := fresh.SearchContext(ctx, q)
 		if err != nil {
@@ -354,7 +362,7 @@ func TestCacheConcurrentSearchRefreshHammer(t *testing.T) {
 			t.Fatal(err)
 		}
 		if fmt.Sprint(got.Topologies) != fmt.Sprint(want.Topologies) {
-			t.Fatalf("q%d diverges after hammer:\n got %v\nwant %v", qi, got.Topologies, want.Topologies)
+			t.Fatalf("q%d (%s) diverges from a fresh sequential build after the hammer:\n got %v\nwant %v", qi, q.Method, got.Topologies, want.Topologies)
 		}
 	}
 }

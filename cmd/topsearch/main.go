@@ -207,8 +207,8 @@ func main() {
 	}
 	if *repeat > 1 {
 		cs := s.CacheStats()
-		fmt.Printf("cache: %d hits / %d misses, %d evicted, %d invalidated, %d carried forward, %d entries (%d bytes) resident\n\n",
-			cs.Hits, cs.Misses, cs.Evictions, cs.Invalidated, cs.CarriedForward, cs.Entries, cs.Bytes)
+		fmt.Printf("cache: %d hits / %d misses, %d evicted, %d invalidated, %d entries (%d bytes) resident\n\n",
+			cs.Hits, cs.Misses, cs.Evictions, cs.Invalidated, cs.Entries, cs.Bytes)
 	}
 	fmt.Printf("%d topologies (method %s", len(res.Topologies), res.Method)
 	if res.Plan != "" {
@@ -264,8 +264,8 @@ func printStats(s *toposearch.Searcher) {
 	fmt.Println("\nstats:")
 	fmt.Printf("  admission: %d admitted, %d rejected, %d degraded; %d partials, %d panics contained\n",
 		st.Admitted, st.Rejected, st.Degraded, st.Partials, st.PanicsContained)
-	fmt.Printf("  cache: %d hits / %d misses, %d evicted, %d invalidated, %d carried forward, %d flushes; %d entries (%d bytes) resident\n",
-		cs.Hits, cs.Misses, cs.Evictions, cs.Invalidated, cs.CarriedForward, cs.Flushes, cs.Entries, cs.Bytes)
+	fmt.Printf("  cache: %d hits / %d misses, %d evicted, %d invalidated; %d entries (%d bytes) resident\n",
+		cs.Hits, cs.Misses, cs.Evictions, cs.Invalidated, cs.Entries, cs.Bytes)
 	var buf strings.Builder
 	if err := toposearch.WriteMetricsText(&buf); err != nil {
 		log.Fatal(err)

@@ -14,8 +14,6 @@ var (
 	obsCacheMiss      = obsCacheEvents.With("miss")
 	obsCacheEvict     = obsCacheEvents.With("eviction")
 	obsCacheInval     = obsCacheEvents.With("invalidated")
-	obsCacheCarried   = obsCacheEvents.With("carried_forward")
-	obsCacheFlush     = obsCacheEvents.With("flush")
 	obsCacheFillErr   = obsCacheEvents.With("fill_error")
 	obsCacheCollapsed = obsCacheEvents.With("collapsed")
 	obsCacheSkipStale = obsCacheEvents.With("skipped_stale")

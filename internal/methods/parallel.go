@@ -85,6 +85,11 @@ func parallelFor(n, w int, fn func(worker, i int)) error {
 	return nil
 }
 
+// ranges is a contiguous partition of a position space [0, n): ordered,
+// non-overlapping [lo, hi) windows whose concatenation reproduces the
+// whole domain.
+type ranges [][2]int32
+
 // equalRanges partitions [0, n) into at most w contiguous windows of
 // nearly equal position count.
 func equalRanges(n, w int) ranges {

@@ -141,8 +141,8 @@ func (s *Store) dispatch(method string, q Query) (QueryResult, error) {
 	}
 	// The plans test the same entity rows again and again (every inner
 	// probe, every HDGJ rescan); memoize each predicate for this call
-	// only. The caller's q keeps the raw predicates, which is what the
-	// result cache's footprint and Advance see.
+	// only, so the memo is sized to this generation's tables and dies
+	// with the call. The caller's q keeps the raw predicates.
 	if q.Pred1 != nil {
 		q.Pred1 = relstore.Memo(s.T1, q.Pred1)
 	}

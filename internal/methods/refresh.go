@@ -17,23 +17,17 @@ var faultRefresh = fault.Register("methods.refresh")
 
 // RefreshDiff describes how a refresh produced its new store
 // generation — which tables were carried over, spliced, or rebuilt,
-// and the stability facts the result cache's frontier-scoped
-// invalidation relies on.
+// and the stability facts the table splice relies on.
 type RefreshDiff struct {
 	// TidStable reports that the topology registry survived the update
 	// with every pre-existing topology keeping its ID (new topologies
 	// may have been appended). It is the precondition for splicing any
-	// table and for footprint-based cache invalidation; when false the
-	// tables are fully rebuilt and caches must flush.
+	// table; when false the tables are fully rebuilt.
 	TidStable bool
 	// PrunedStable reports that both generations pruned exactly the
 	// same topologies in the same order — the extra precondition for
 	// splicing LeftTops and ExcpTops.
 	PrunedStable bool
-	// ChangedTIDs lists the topologies whose pair frequency changed
-	// (including newly observed and no-longer-observed ones), ascending
-	// by ID. Only meaningful when TidStable.
-	ChangedTIDs []core.TopologyID
 	// Per-table materialization outcomes.
 	AllTops, LeftTops, ExcpTops, TopInfo core.TableDiff
 }
@@ -53,8 +47,7 @@ type RefreshDiff struct {
 // and only rows belonging to the affected frontier — plus
 // frequency-drifted TopInfo rows — are re-encoded. The table contents
 // are byte-identical to a full rematerialization in every mode; the
-// returned diff reports what each table actually did and feeds the
-// result cache's invalidation.
+// returned diff reports what each table actually did.
 //
 // The receiver is left untouched: queries running against it keep
 // their consistent snapshot (its table pointers survive even though
@@ -79,9 +72,6 @@ func (s *Store) RefreshDiff(ctx context.Context, g *graph.Graph, affected map[gr
 	d := &RefreshDiff{
 		TidStable:    registryStable(s.Res.Reg, res.Reg),
 		PrunedStable: pr.PrunedStable(s.Pr, s.ES1, s.ES2),
-	}
-	if d.TidStable {
-		d.ChangedTIDs = changedTIDsOf(s.Res.Pair(s.ES1, s.ES2), res.Pair(s.ES1, s.ES2))
 	}
 	ns := &Store{
 		DB: s.DB, G: g, SG: s.SG, Res: res, Pr: pr,

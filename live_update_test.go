@@ -186,6 +186,46 @@ func TestLiveUpdateEquivalenceGolden(t *testing.T) {
 	}
 }
 
+// TestLiveUpdateParallelEdgeReusesAllTops checks the diff-aware
+// materializer on the cheapest edge batch: a parallel duplicate of an
+// existing edge adds no path class to any pair, so the refresh carries
+// the previous generation's AllTops table over as is.
+func TestLiveUpdateParallelEdgeReusesAllTops(t *testing.T) {
+	db, err := Synthetic(1, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := db.NewSearcher(Protein, DNA, SearcherConfig{MaxLen: 3, PruneThreshold: 8, MaxCombinations: 2048, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	p, d := int64(1_950_001), int64(2_950_001)
+	for _, ups := range [][]Update{
+		{
+			InsertEntity(Protein, p, map[string]string{"desc": "island protein"}),
+			InsertEntity(DNA, d, map[string]string{"type": "gene", "desc": "island dna"}),
+			InsertRelationship("encodes", p, d),
+		},
+		{InsertRelationship("encodes", p, d)},
+	} {
+		before := s.current()
+		if err := db.ApplyBatch(ups); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := s.Refresh(); err != nil || n != 1 {
+			t.Fatalf("Refresh = %d, %v; want 1 edge absorbed", n, err)
+		}
+		after := s.current()
+		if after.Gen != before.Gen+1 {
+			t.Fatalf("generation %d -> %d, want one step", before.Gen, after.Gen)
+		}
+		if reused := after.AllTops == before.AllTops; reused != (len(ups) == 1) {
+			t.Errorf("batch of %d updates: AllTops reused = %v", len(ups), reused)
+		}
+	}
+}
+
 // TestLiveUpdateConcurrentSearch races searches against batch
 // application and incremental refreshes: queries must keep succeeding
 // on a consistent store generation throughout (run under -race in CI).

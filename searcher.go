@@ -16,7 +16,6 @@ import (
 	"toposearch/internal/methods"
 	"toposearch/internal/obs"
 	"toposearch/internal/ranking"
-	"toposearch/internal/relstore"
 )
 
 // EnginePanicError is the typed containment of a panic that occurred
@@ -67,11 +66,10 @@ type SearcherConfig struct {
 	Parallelism int
 	// CacheBytes bounds the searcher's generation-tagged query result
 	// cache: repeated queries between mutation batches become O(1)
-	// lookups, and Refresh carries entries whose dependency footprint is
-	// disjoint from the update frontier forward into the new generation
-	// instead of flushing. 0 uses the 64 MiB default; a negative value
-	// disables the cache. Cached results are byte-identical to uncached
-	// execution (see SearchResult.CacheHit).
+	// lookups. A Refresh that absorbs relationships empties it; one
+	// that absorbs only entities keeps it. 0 uses the 64 MiB default; a
+	// negative value disables the cache. Cached results are
+	// byte-identical to uncached execution (see SearchResult.CacheHit).
 	CacheBytes int64
 	// MaxInflight bounds how many Search calls may execute
 	// concurrently (0 = unbounded). A query arriving while all slots
@@ -120,7 +118,6 @@ type Searcher struct {
 	refreshMu sync.Mutex // serializes Refresh
 	cursor    int        // applied-edge log position this searcher has absorbed
 	closed    bool
-	lastDiff  *methods.RefreshDiff // materializer outcome of the last full Refresh
 
 	// lifecycle lets Close drain in-flight queries: every Search holds
 	// the read side for its duration, Close takes the write side
@@ -242,10 +239,7 @@ func (db *DB) NewSearcherContext(ctx context.Context, es1, es2 string, cfg Searc
 		if bytes == 0 {
 			bytes = 64 << 20
 		}
-		if s.cache, err = methods.NewResultCache(bytes, st); err != nil {
-			s.Close()
-			return nil, err
-		}
+		s.cache = methods.NewResultCache(bytes)
 	}
 	return s, nil
 }
@@ -342,40 +336,21 @@ func (s *Searcher) RefreshContext(ctx context.Context) (n int, err error) {
 		return 0, nil
 	}
 	affected := delta.AffectedStarts(g, st.ES1, st.Cfg.Opts.EffectiveMaxLen(), edges)
-	ns, diff, err := st.RefreshDiff(ctx, g, affected)
+	ns, _, err := st.RefreshDiff(ctx, g, affected)
 	if err != nil {
 		return 0, err
 	}
-	// Everything fallible is done. Derive the cache invalidation set
-	// BEFORE publishing so the publication sequence below — generation
-	// swap, cache advance, cursor advance — has no failure point left
-	// and a contained fault can never leave them half-updated.
-	var mask methods.Footprint
-	var tail []int32
-	if s.cache != nil && diff.TidStable {
-		mask, tail = s.cache.InvalidationSet(ns, diff, affected)
-	}
+	// Everything fallible is done: the publication sequence below —
+	// generation swap, cache invalidation, cursor advance — has no
+	// failure point left, so a contained fault can never leave them
+	// half-updated.
 	s.store.Store(ns)
-	s.lastDiff = diff
 	if s.cache != nil {
-		// Frontier-scoped invalidation: entries whose dependency
-		// footprint is disjoint from the update's dirty start set are
-		// retagged into the new generation; only intersecting entries
-		// are dropped. An unstable topology registry renumbers IDs, so
-		// nothing cached can be trusted — flush.
-		s.cache.Advance(st.Gen, ns.Gen, cursor, mask, tail, !diff.TidStable)
+		s.cache.Invalidate()
 		s.syncCacheGauges()
 	}
 	s.advanceCursor(cursor)
 	return len(edges), nil
-}
-
-// LastRefreshDiff reports how the last full Refresh materialized each
-// precomputed table (nil before the first one).
-func (s *Searcher) LastRefreshDiff() *methods.RefreshDiff {
-	s.refreshMu.Lock()
-	defer s.refreshMu.Unlock()
-	return s.lastDiff
 }
 
 // CacheStats snapshots the result cache's counters (zero value when
@@ -677,7 +652,7 @@ func (s *Searcher) execCached(ctx context.Context, st *methods.Store, q SearchQu
 	fillCtx := context.WithoutCancel(ctx)
 	lookup := root.Child("cache.lookup")
 	defer lookup.End()
-	v, hit, err := s.cache.GetOrCompute(ctx, searchCacheKey(q), st.Gen, epoch, func() (any, int64, relstore.Pred, bool, error) {
+	v, hit, err := s.cache.GetOrCompute(ctx, searchCacheKey(q), st.Gen, epoch, func() (any, int64, bool, error) {
 		// This closure runs only for the flight that computes the
 		// entry, so a fill span here always belongs to this caller's
 		// own tree. The cached value itself never carries a trace.
@@ -686,7 +661,7 @@ func (s *Searcher) execCached(ctx context.Context, st *methods.Store, q SearchQu
 		res, err := s.execSearch(fillCtx, st, q.method(), fmq)
 		fmq.Trace.End()
 		if err != nil {
-			return nil, 0, nil, false, err
+			return nil, 0, false, err
 		}
 		// Epoch re-check, AFTER the last base-table read above. Taken
 		// under db.mu, unlike a bare log.Len(): ApplyBatch makes rows
@@ -697,7 +672,7 @@ func (s *Searcher) execCached(ctx context.Context, st *methods.Store, q SearchQu
 		s.db.mu.Lock()
 		cacheable := s.db.log.Len() == epoch
 		s.db.mu.Unlock()
-		return res, res.approxBytes(), mq.Pred1, cacheable, nil
+		return res, res.approxBytes(), cacheable, nil
 	})
 	if err != nil {
 		return nil, false, err
